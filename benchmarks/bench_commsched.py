@@ -8,11 +8,12 @@ every transaction of every candidate PE.  The path-table cache
 committed list keyed by its link-table version counters, and probes
 whose ready time clears every link horizon skip merging entirely.
 
-This bench runs full ``eas_schedule`` passes with the cache on and off
-on category-1 presets over mesh_5x5 and mesh_6x6, asserts the two modes
-produce bit-identical schedules, and records the interval-merge work
-(``comm.merge_intervals`` — total intervals fed through ``merge_busy``)
-into ``BENCH_commsched.json``.
+This bench runs full ``eas_schedule`` passes against the paper-literal
+reference scheduler (``src/repro/core/reference.py``, which has neither
+the path cache nor the evaluation cache) on category-1 presets over
+mesh_5x5 and mesh_6x6, asserts the two produce bit-identical schedules,
+and records the interval-merge work (``comm.merge_intervals`` — total
+intervals fed through ``merge_busy``) into ``BENCH_commsched.json``.
 
 Gates (CI runs ``test_commsched_smoke`` under ``--bench-check``):
 
@@ -28,7 +29,8 @@ from typing import Any, Dict
 
 from repro import obs
 from repro.arch.presets import mesh_5x5, mesh_6x6
-from repro.core.eas import EASConfig, eas_schedule
+from repro.core.eas import eas_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
 from repro.schedule.serialization import schedule_to_json
 
@@ -46,12 +48,12 @@ MIN_MERGE_RATIO = 2.0
 MIN_WALL_SPEEDUP = 1.0
 
 
-def _run_variant(ctg, acg, use_path_cache: bool):
+def _run_variant(ctg, acg, scheduler):
     """One full EAS pass; returns (json, wall, metrics)."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
         started = time.perf_counter()
-        schedule = eas_schedule(ctg, acg, EASConfig(use_path_cache=use_path_cache))
+        schedule = scheduler(ctg, acg)
         wall = time.perf_counter() - started
     # The serialization embeds the driver's wall-clock stamp; zero it so
     # the bit-identity assert compares only the scheduling decisions.
@@ -63,8 +65,8 @@ def _commsched_point(mesh, index: int, n_tasks: int) -> Dict[str, Any]:
     ctg = generate_category(1, index, n_tasks=n_tasks)
     acg = mesh()
 
-    literal_json, literal_wall, literal_metrics = _run_variant(ctg, acg, False)
-    cached_json, cached_wall, cached_metrics = _run_variant(ctg, acg, True)
+    literal_json, literal_wall, literal_metrics = _run_variant(ctg, acg, reference_eas_schedule)
+    cached_json, cached_wall, cached_metrics = _run_variant(ctg, acg, eas_schedule)
 
     # Exactness before speed: the cache must be invisible in the output.
     assert cached_json == literal_json, "path-table cache changed the schedule"
@@ -92,7 +94,7 @@ def _commsched_point(mesh, index: int, n_tasks: int) -> Dict[str, Any]:
 
 
 def _describe(points: Dict[str, Dict[str, Any]]) -> str:
-    lines = ["COMMSCHED: version-keyed path-table cache vs literal per-probe merges"]
+    lines = ["COMMSCHED: production EAS vs the paper-literal reference (per-probe merges)"]
     for label, p in points.items():
         lines.append(
             f"  {label}: {p['link_probes']:.0f} probes, merged intervals "

@@ -1,16 +1,19 @@
-"""REPAIR — incremental dirty-cone repair vs paper-literal full rebuilds.
+"""REPAIR — incremental dirty-cone repair vs the paper-literal reference.
 
 Every Step-3 candidate move used to cost a full ``rebuild_schedule``
 (all tasks list-scheduled, all transactions replayed from empty tables).
 The incremental engine (``src/repro/core/increbuild.py``) shares the
 incumbent's clean commit prefix, replays only the dirty cone, aborts
 candidates that provably cannot win, and memoizes rejected move
-signatures.  This bench runs whole repair loops both ways on the
-repair-heavy category-2 / mesh_5x5 presets, asserts the two modes are
-bit-identical (schedule serialization and ``RepairReport``), and records
-the reduction trajectory into ``BENCH_repair.json``.
+signatures.  This bench runs whole repair loops both with the engine and
+with the paper-literal reference repair (``reference_repair`` in
+``src/repro/core/reference.py``: one full rebuild over literal tables
+per candidate) on the repair-heavy category-2 / mesh_5x5 presets,
+asserts the two are bit-identical (schedule serialization and
+``RepairReport``), and records the reduction trajectory into
+``BENCH_repair.json``.
 
-Accounting: a full-mode candidate replays every task
+Accounting: a reference candidate replays every task
 (``rebuild.tasks_scheduled``); the incremental mode's replayed work is
 ``repair.replayed_tasks`` plus its one traced incumbent rebuild per
 repair run (also counted under ``rebuild.tasks_scheduled``), so the
@@ -31,7 +34,8 @@ from typing import Any, Dict
 from repro import obs
 from repro.arch.presets import mesh_5x5
 from repro.core.eas import EASConfig, eas_schedule
-from repro.core.repair import RepairConfig, search_and_repair
+from repro.core.reference import reference_repair
+from repro.core.repair import search_and_repair
 from repro.ctg.generator import generate_category
 from repro.schedule.serialization import schedule_to_json
 
@@ -50,14 +54,12 @@ MIN_REPLAY_RATIO = 3.0
 MIN_WALL_SPEEDUP = 2.0
 
 
-def _run_repair(base, use_incremental: bool):
+def _run_repair(base, repair):
     """One full repair loop; returns (json, report, wall, metrics)."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
         started = time.perf_counter()
-        repaired, report = search_and_repair(
-            base, RepairConfig(use_incremental=use_incremental)
-        )
+        repaired, report = repair(base)
         wall = time.perf_counter() - started
     return schedule_to_json(repaired), report, wall, bundle.metrics
 
@@ -70,8 +72,8 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
     base = eas_schedule(ctg, acg, EASConfig(repair=False))
     assert base.deadline_misses(), "preset must miss, or repair has nothing to do"
 
-    full_json, full_report, full_wall, full_metrics = _run_repair(base, False)
-    inc_json, inc_report, inc_wall, inc_metrics = _run_repair(base, True)
+    full_json, full_report, full_wall, full_metrics = _run_repair(base, reference_repair)
+    inc_json, inc_report, inc_wall, inc_metrics = _run_repair(base, search_and_repair)
 
     # Exactness before speed: both modes must agree bit-for-bit.
     assert inc_json == full_json, "incremental repair diverged from full rebuild"
@@ -105,7 +107,7 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
 
 
 def _describe(points: Dict[str, Dict[str, Any]]) -> str:
-    lines = ["REPAIR: incremental dirty-cone replay vs full rebuild per candidate"]
+    lines = ["REPAIR: incremental dirty-cone replay vs reference full rebuild per candidate"]
     for label, p in points.items():
         lines.append(
             f"  {label}: {p['candidates']} candidates over {p['rounds']} rounds "

@@ -10,6 +10,7 @@ extra seconds, and barely moves the energy.
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.core.reference import reference_repair
 from repro.evalx.experiments import run_repair_runtime
 
 
@@ -41,14 +42,15 @@ def test_repair_runtime_preset(benchmark, show):
 
     The default-scale test above can skip when every suite happens to be
     schedulable; this preset tightens deadlines to half so CI always
-    exercises the TXT-RT relationship, and runs repair in both engine
-    modes on identical inputs to surface the incremental speedup.
+    exercises the TXT-RT relationship, and runs both the paper-literal
+    reference repair and the production engine on identical inputs to
+    surface the incremental speedup.
     """
     preset = dict(category=2, n_benchmarks=2, n_tasks=60, deadline_scale=0.5)
 
     def experiment():
-        full = run_repair_runtime(use_incremental=False, **preset)
-        incremental = run_repair_runtime(use_incremental=True, **preset)
+        full = run_repair_runtime(repair=reference_repair, **preset)
+        incremental = run_repair_runtime(**preset)
         return full, incremental
 
     full, incremental = run_once(benchmark, experiment)
@@ -56,11 +58,11 @@ def test_repair_runtime_preset(benchmark, show):
     assert len(full) == len(incremental)
 
     lines = [
-        "benchmark  misses  repair seconds full-rebuild -> incremental  energy ratio"
+        "benchmark  misses  repair seconds reference -> incremental  energy ratio"
     ]
     for f, inc in zip(full, incremental):
         assert f.benchmark == inc.benchmark
-        # Both engines repair the same schedule to the same result.
+        # Reference and engine repair the same schedule to the same result.
         assert f.misses == inc.misses
         assert f.energies == inc.energies
         full_repair = f.runtimes["eas"] - f.runtimes["eas-base"]

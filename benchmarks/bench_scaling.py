@@ -3,10 +3,12 @@
 The paper's Step 2 recomputes every F(i,k) each RTL iteration; the
 incremental evaluation cache (see ``src/repro/core/eas.py``) makes that
 cost proportional to what a commit actually dirties.  This bench runs
-full EAS cached vs naive on generated CTGs of ~50/100/200 tasks mapped
-onto growing meshes (4x4 -> 6x6), checks the two paths agree exactly,
-and records the speedup trajectory — Fig. 3 evaluation counts, wall
-times, ratios — into ``BENCH_scaling.json`` via the benchstore.
+production EAS against the paper-literal reference scheduler
+(``src/repro/core/reference.py``: no evaluation cache, no path cache,
+full rebuilds in repair) on generated CTGs of ~50/100/200 tasks mapped
+onto growing meshes (4x4 -> 6x6), checks the two agree exactly, and
+records the speedup trajectory — Fig. 3 evaluation counts, wall times,
+ratios — into ``BENCH_scaling.json`` via the benchstore.
 
 ``test_scaling_smoke`` is the CI gate: the smallest size only, run with
 ``--bench-check`` so a >10 % median wall-time regression of the cached
@@ -18,7 +20,8 @@ from typing import Any, Dict
 
 from repro import obs
 from repro.arch.presets import mesh_4x4, mesh_5x5, mesh_6x6
-from repro.core.eas import EASConfig, eas_schedule
+from repro.core.eas import eas_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
 
 from benchmarks.conftest import run_once
@@ -35,13 +38,12 @@ SIZES = [
 MIN_EVAL_RATIO_AT_200 = 3.0
 
 
-def _run_variant(ctg, acg, use_cache: bool):
+def _run_variant(ctg, acg, scheduler):
     """One full-EAS run; returns (schedule, evaluations, wall seconds)."""
     ins = obs.Instrumentation.disabled()
-    config = EASConfig(use_cache=use_cache)
     with obs.activate(ins):
         started = time.perf_counter()
-        schedule = eas_schedule(ctg, acg, config)
+        schedule = scheduler(ctg, acg)
         wall = time.perf_counter() - started
     return schedule, ins.metrics.counter("eas.evaluations").value, wall
 
@@ -49,8 +51,8 @@ def _run_variant(ctg, acg, use_cache: bool):
 def _scaling_point(label: str, n_tasks: int, mesh) -> Dict[str, Any]:
     ctg = generate_category(1, 0, n_tasks=n_tasks)
     acg = mesh(shuffle_seed=100)
-    naive, naive_evals, naive_wall = _run_variant(ctg, acg, use_cache=False)
-    cached, cached_evals, cached_wall = _run_variant(ctg, acg, use_cache=True)
+    naive, naive_evals, naive_wall = _run_variant(ctg, acg, reference_eas_schedule)
+    cached, cached_evals, cached_wall = _run_variant(ctg, acg, eas_schedule)
     # The cache must be invisible in the output before its speed counts.
     assert cached.task_placements == naive.task_placements
     assert cached.comm_placements == naive.comm_placements
@@ -69,7 +71,7 @@ def _scaling_point(label: str, n_tasks: int, mesh) -> Dict[str, Any]:
 
 
 def _describe(points: Dict[str, Dict[str, Any]]) -> str:
-    lines = ["SCALING: incremental F(i,k) cache vs naive recompute"]
+    lines = ["SCALING: production EAS vs the paper-literal reference"]
     for label, p in points.items():
         lines.append(
             f"  {p['tasks']:>4} tasks / {p['pes']:>2} PEs: "

@@ -17,11 +17,11 @@ the paper quantifies as 39-55 % extra energy.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.placement import Evaluation, commit, probe
 from repro.ctg.analysis import effective_deadlines
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError
@@ -56,52 +56,44 @@ def edf_schedule(ctg: CTG, acg: ACG) -> Schedule:
             # EDF selection: earliest effective deadline; ties by name.
             chosen = min(ready, key=lambda name: (eff_deadline[name], name))
 
-            best_pe = -1
+            best: Optional[Evaluation] = None
             best_key = (math.inf, math.inf, math.inf)
-            task = ctg.task(chosen)
             candidates: List[Candidate] = []
             for pe in acg.pes:
-                cost = task.cost_on(pe.type_name)
-                if not cost.feasible:
+                evaluation = probe(tables, ctg, acg, placements, chosen, pe.index)
+                if evaluation is None:
                     continue
-                overlay = tables.overlay()
-                drt, _comms = schedule_incoming_transactions(
-                    ctg, acg, chosen, pe.index, placements, overlay
-                )
-                start = overlay.find_earliest(pe.index, drt, cost.time)
-                overlay.drop()
                 eval_counter.inc()
-                finish = start + cost.time
                 if record_decisions:
                     candidates.append(
                         Candidate(
                             pe=pe.index,
-                            finish=finish,
-                            energy=cost.energy,
-                            start=start,
-                            drt=drt,
-                            compute_energy=cost.energy,
+                            finish=evaluation.finish,
+                            energy=evaluation.compute_energy,
+                            start=evaluation.start,
+                            drt=evaluation.drt,
+                            compute_energy=evaluation.compute_energy,
                         )
                     )
                 # Performance-greedy: earliest finish; energy is NOT considered.
-                key = (finish, start, pe.index)
+                key = (evaluation.finish, evaluation.start, pe.index)
                 if key < best_key:
                     best_key = key
-                    best_pe = pe.index
-            if best_pe < 0:
+                    best = evaluation
+            if best is None:
                 raise SchedulingError(f"task {chosen!r} has no feasible PE")
 
-            placement = _commit(ctg, acg, chosen, best_pe, placements, tables, schedule)
+            placement = commit(tables, placements, schedule, best)
             if record_decisions:
                 decision = TaskDecision(
                     task=chosen,
-                    pe=best_pe,
+                    pe=best.pe,
                     algorithm="edf",
                     start=placement.start,
                     finish=placement.finish,
                     energy=placement.energy,
-                    chosen=next((c for c in candidates if c.pe == best_pe), None),
-                    candidates=[c for c in candidates if c.pe != best_pe],
+                    chosen=next((c for c in candidates if c.pe == best.pe), None),
+                    candidates=[c for c in candidates if c.pe != best.pe],
                 )
                 ins.decisions.record(decision)
                 decided.append(decision)
@@ -116,29 +108,3 @@ def edf_schedule(ctg: CTG, acg: ACG) -> Schedule:
     schedule.runtime_seconds = timing.seconds
     return schedule
 
-
-def _commit(
-    ctg: CTG,
-    acg: ACG,
-    task_name: str,
-    pe_index: int,
-    placements: Dict[str, TaskPlacement],
-    tables: ResourceTables,
-    schedule: Schedule,
-) -> TaskPlacement:
-    cost = ctg.task(task_name).cost_on(acg.pe(pe_index).type_name)
-    overlay = tables.overlay()
-    drt, comms = schedule_incoming_transactions(
-        ctg, acg, task_name, pe_index, placements, overlay
-    )
-    start = overlay.find_earliest(pe_index, drt, cost.time)
-    overlay.commit()
-    tables.reserve(pe_index, start, start + cost.time)
-    placement = TaskPlacement(
-        task=task_name, pe=pe_index, start=start, finish=start + cost.time, energy=cost.energy
-    )
-    placements[task_name] = placement
-    schedule.place_task(placement)
-    for comm in comms:
-        schedule.place_comm(comm)
-    return placement

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional
 from repro import obs
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
 from repro.baselines.edf import edf_schedule
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.core.eas import eas_base_schedule, eas_schedule
 from repro.ctg.generator import generate_category
 from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
 from repro.errors import LedgerError, SchedulingError
@@ -158,8 +158,8 @@ def _ledger_params(args) -> Dict[str, Any]:
     """The resolved invocation parameters a ``run_started`` record keeps.
 
     Everything argparse resolved (seeds, preset names, clip, jobs, ...)
-    that serialises as JSON, plus the effective EAS configuration — the
-    provenance needed to reconstruct the run from the ledger alone.
+    that serialises as JSON — the provenance needed to reconstruct the
+    run from the ledger alone.
     """
     params: Dict[str, Any] = {}
     for key, value in vars(args).items():
@@ -169,10 +169,6 @@ def _ledger_params(args) -> Dict[str, Any]:
             params[key] = value
         elif isinstance(value, (list, tuple)):
             params[key] = list(value)
-    if hasattr(args, "no_eval_cache"):
-        from dataclasses import asdict
-
-        params["eas_config"] = asdict(_eas_config(args))
     return params
 
 
@@ -355,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "a",
         help="first endpoint: a saved schedule JSON, `run:<ledger-run-id>`, "
-        "or a spec string like `algorithm=eas,cache=off` overriding the "
+        "or a spec string like `algorithm=edf,clip=akiyo` overriding the "
         "benchmark flags",
     )
     p.add_argument(
@@ -515,28 +511,6 @@ def _add_observability_arguments(subparser) -> None:
         help="print a phase-timing + counter summary to stderr",
     )
     group.add_argument(
-        "--no-eval-cache",
-        action="store_true",
-        help="run EAS with the naive per-iteration F(i,k) recompute "
-        "(the reference path) instead of the incremental evaluation "
-        "cache — for A/B comparisons",
-    )
-    group.add_argument(
-        "--no-incremental-repair",
-        action="store_true",
-        help="evaluate every Step-3 repair candidate with a full "
-        "rebuild (the paper-literal reference path) instead of the "
-        "incremental dirty-cone replay engine — for A/B comparisons",
-    )
-    group.add_argument(
-        "--no-path-cache",
-        action="store_true",
-        help="re-merge every route's link busy lists per Fig. 3 probe "
-        "(the literal reference path) instead of serving probes from "
-        "the version-keyed path-table cache with the horizon fast "
-        "path — for A/B comparisons; schedules are bit-identical",
-    )
-    group.add_argument(
         "--ledger",
         metavar="FILE",
         default=None,
@@ -556,22 +530,12 @@ def _add_observability_arguments(subparser) -> None:
     )
 
 
-def _eas_config(args) -> EASConfig:
-    """The EAS knobs the shared CLI flags select."""
-    return EASConfig(
-        use_cache=not getattr(args, "no_eval_cache", False),
-        use_incremental_repair=not getattr(args, "no_incremental_repair", False),
-        use_path_cache=not getattr(args, "no_path_cache", False),
-    )
-
-
 def _handle_random(args) -> int:
     rows = run_random_category(
         args.category,
         n_benchmarks=args.benchmarks,
         n_tasks=args.n_tasks,
         progress=lambda msg: print("  ..", msg, file=sys.stderr),
-        eas_config=_eas_config(args),
         jobs=args.jobs,
     )
     print(
@@ -634,7 +598,6 @@ def _build_benchmark(args):
 
 
 def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
-    config = _eas_config(args)
     repair_starts = getattr(args, "repair_starts", 1)
     if repair_starts > 1 and args.algorithm in ("eas", "eas-base"):
         # Multi-start portfolio: level-schedule once, then race K seeded
@@ -642,7 +605,7 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
         # the best feasible, lowest-energy result.
         from repro.core.repair import multistart_search_and_repair
 
-        schedule = eas_base_schedule(ctg, acg, config)
+        schedule = eas_base_schedule(ctg, acg)
         schedule, portfolio = multistart_search_and_repair(
             schedule, starts=repair_starts, jobs=getattr(args, "jobs", None)
         )
@@ -650,8 +613,8 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
         print(portfolio.describe(), file=sys.stderr)
     else:
         scheduler = {
-            "eas": lambda c, a: eas_schedule(c, a, config),
-            "eas-base": lambda c, a: eas_base_schedule(c, a, config),
+            "eas": eas_schedule,
+            "eas-base": eas_base_schedule,
             "edf": edf_schedule,
         }[args.algorithm]
         schedule = scheduler(ctg, acg)
@@ -754,7 +717,7 @@ def _handle_compare(args) -> int:
     }[args.system]
     ctg = builder[0](args.clip)
     acg = builder[1]()
-    eas = eas_schedule(ctg, acg, _eas_config(args))
+    eas = eas_schedule(ctg, acg)
     edf = edf_schedule(ctg, acg)
     print(compare_schedules(eas, edf).describe())
     print()
@@ -775,7 +738,7 @@ def _handle_optimal(args) -> int:
     )
     acg = mesh_2x2()
     exact = optimal_schedule(ctg, acg)
-    eas = eas_schedule(ctg, acg, _eas_config(args))
+    eas = eas_schedule(ctg, acg)
     edf = edf_schedule(ctg, acg)
     if not exact.feasible:
         print(f"{ctg.name}: no deadline-feasible mapping exists")
@@ -944,20 +907,14 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
         "category": args.category,
         "index": args.index,
         "n_tasks": args.n_tasks,
-        "cache": not getattr(args, "no_eval_cache", False),
-        "increpair": not getattr(args, "no_incremental_repair", False),
-        "pathcache": not getattr(args, "no_path_cache", False),
     }
     if params is not None:
+        # Older ledgers also carry the retired no_eval_cache /
+        # no_path_cache / no_incremental_repair switches; they never
+        # changed a schedule, so they are ignored.
         for key in ("algorithm", "system", "clip", "category", "index", "n_tasks"):
             if params.get(key) is not None:
                 fields[key] = params[key]
-        if params.get("no_eval_cache") is not None:
-            fields["cache"] = not params["no_eval_cache"]
-        if params.get("no_incremental_repair") is not None:
-            fields["increpair"] = not params["no_incremental_repair"]
-        if params.get("no_path_cache") is not None:
-            fields["pathcache"] = not params["no_path_cache"]
     elif token:
         for part in token.split(","):
             part = part.strip()
@@ -970,8 +927,6 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
             key, value = (s.strip() for s in part.split("=", 1))
             if key in ("category", "index", "n_tasks"):
                 fields[key] = int(value)
-            elif key in ("cache", "increpair", "pathcache"):
-                fields[key] = value.lower() in ("1", "on", "true", "yes")
             elif key in ("algorithm", "system", "clip"):
                 fields[key] = value
             else:
@@ -997,11 +952,6 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
     return RunSpec(
         scheduler=fields["algorithm"],
         benchmark=benchmark,
-        eas_config=EASConfig(
-            use_cache=bool(fields["cache"]),
-            use_incremental_repair=bool(fields["increpair"]),
-            use_path_cache=bool(fields["pathcache"]),
-        ),
         tag=token or "default",
     )
 
@@ -1179,7 +1129,7 @@ def _handle_faults_inject(args) -> int:
                 horizon=committed.makespan(),
                 kinds=(args.kind,),
             )[0]
-        result = inject_and_recover(committed, plan, _eas_config(args))
+        result = inject_and_recover(committed, plan)
     except OSError as exc:
         print(f"repro-noc: error: cannot read {args.plan}: {exc}", file=sys.stderr)
         return 1
@@ -1224,7 +1174,6 @@ def _handle_faults_sweep(args) -> int:
         report = run_fault_sweep(
             _benchmark_spec(args),
             scheduler=args.algorithm,
-            eas_config=_eas_config(args),
             n_plans=args.plans,
             seed=args.fault_seed,
             kinds=kinds,

@@ -14,10 +14,10 @@ rebuild funnels through it.  It is served by the version-keyed path-table
 cache in :mod:`repro.schedule.overlay`: the merged committed busy list of
 each route is reused until one of its link tables changes version, probes
 whose ready time clears every horizon skip merging entirely, and all
-reads are zero-copy.  ``EASConfig.use_path_cache=False`` (CLI
-``--no-path-cache``) keeps the literal re-merge-per-probe reference path;
-cached and literal probes return bit-identical answers (DESIGN.md,
-"Path-table cache soundness").  Telemetry: ``comm.path_cache_hits`` /
+reads are zero-copy.  The paper-literal reference scheduler
+(``core/reference.py``) keeps the re-merge-per-probe path; cached and
+literal probes return bit-identical answers (DESIGN.md, "Path-table
+cache soundness").  Telemetry: ``comm.path_cache_hits`` /
 ``comm.path_cache_misses``, ``comm.horizon_fast_path`` and
 ``comm.merge_intervals``.
 

@@ -37,28 +37,29 @@ the committed transactions reserved.  An untouched footprint means the
 evaluation would recompute to the identical result, so cached and naive
 runs produce byte-identical schedules (see DESIGN.md for the argument
 and ``tests/test_eval_cache.py`` for the randomized equivalence
-harness).  ``EASConfig.use_cache`` keeps the naive path available as
-the reference implementation.
+harness).  The naive recompute is the paper-literal reference scheduler
+in :mod:`repro.core.reference`, which the equivalence tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.placement import Evaluation, commit, probe
 from repro.obs.decisions import Candidate, TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
 from repro.ctg.graph import CTG
-from repro.errors import SchedulingError, UnroutableError
-from repro.schedule.entries import CommPlacement, TaskPlacement
+from repro.errors import SchedulingError
+from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
-from repro.schedule.table import EPS
+from repro.schedule.table import EPS, Interval
 
 
 @dataclass
@@ -79,24 +80,6 @@ class EASConfig:
             introduction criticises; the resulting timing is
             optimistic and its link usage may overlap — only the
             contention ablation should turn this off.
-        use_cache: reuse ``F(i,k)`` evaluations across RTL iterations,
-            invalidating only entries whose resource footprint the last
-            commit dirtied.  Produces schedules identical to the naive
-            path (the reference implementation kept behind
-            ``use_cache=False`` and the CLI's ``--no-eval-cache``) while
-            doing far fewer Fig. 3 evaluations.
-        use_incremental_repair: evaluate Step-3 candidate moves with the
-            incremental rebuild engine (prefix reuse + early abort +
-            memoization, see ``core/increbuild.py``) instead of a full
-            rebuild per candidate.  Both settings accept the identical
-            move sequence; ``False`` (CLI ``--no-incremental-repair``)
-            keeps the paper-literal path as the reference.
-        use_path_cache: serve Fig. 3 path probes from the version-keyed
-            merged-busy-list cache with the horizon fast path (see
-            ``schedule/overlay.py``), in both Step 2 and Step-3 rebuilds.
-            ``False`` (CLI ``--no-path-cache``) re-merges every route
-            from scratch per probe — the literal reference path.
-            Schedules are bit-identical either way; only runtime differs.
     """
 
     weight_policy: WeightPolicy = weight_var_product
@@ -104,43 +87,13 @@ class EASConfig:
     repair: bool = True
     max_repair_rounds: int = 64
     contention_aware: bool = True
-    use_cache: bool = True
-    use_incremental_repair: bool = True
-    use_path_cache: bool = True
 
 
-@dataclass
-class _Evaluation:
-    """One F(i,k) evaluation result, with enough context to replay it.
-
-    ``footprint`` is the set of resources (the candidate PE plus every
-    link table the Fig. 3 pass consulted) the result depends on;
-    ``comms`` / ``reservations`` are the tentative transaction
-    placements and their link reservations, so a commit of a *clean*
-    cached evaluation can skip the recompute entirely.  ``windows`` maps
-    each resource to the busy windows this evaluation was *granted*
-    there (the link reservations plus the task's own slot on the
-    candidate PE): because ``find_gap`` results are monotone under added
-    busy intervals, the evaluation stays exact until some commit
-    reserves a window overlapping one of these.
-    """
-
-    task: str
-    pe: int
-    start: float
-    finish: float
-    drt: float
-    energy: float
-    comms: List["CommPlacement"] = field(default_factory=list)
-    reservations: Dict[Hashable, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
-    footprint: FrozenSet[Hashable] = frozenset()
-    windows: Dict[Hashable, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
+#: resource -> busy windows an evaluation was granted there.
+Windows = Dict[Hashable, Tuple[Interval, ...]]
 
 
-def _windows_conflict(
-    a: Mapping[Hashable, Tuple[Tuple[float, float], ...]],
-    b: Mapping[Hashable, Tuple[Tuple[float, float], ...]],
-) -> bool:
+def _windows_conflict(a: Windows, b: Windows) -> bool:
     """Whether two granted-window maps overlap on any shared resource.
 
     Plain interval overlap (``s < end and start < e``): windows that
@@ -162,7 +115,7 @@ def _windows_conflict(
     return False
 
 
-def _candidate_from_eval(evaluation: _Evaluation, bd: float) -> Candidate:
+def _candidate_from_eval(evaluation: Evaluation, bd: float) -> Candidate:
     """The schema-v2 component breakdown of one F(i,k) evaluation.
 
     ``evaluation.energy`` already folds in the communication energy of
@@ -185,7 +138,7 @@ def _candidate_from_eval(evaluation: _Evaluation, bd: float) -> Candidate:
 
 
 @dataclass
-class _SelectionOutcome:
+class SelectionOutcome:
     """Why the Step-2 selection picked its (task, PE) pair."""
 
     #: Rule-3 performance rescue (no PE meets the budgeted deadline).
@@ -193,6 +146,87 @@ class _SelectionOutcome:
     #: energy regret δE of the chosen task (None on a rescue, inf when
     #: the task had a single BD-feasible PE).
     regret: Optional[float] = None
+
+
+def select_candidate(
+    evaluations: Dict[str, Dict[int, Evaluation]],
+    budgets: Mapping[str, TaskBudget],
+) -> Tuple[str, int, SelectionOutcome]:
+    """Apply the paper's Step-2 selection rules to the current RTL.
+
+    ``evaluations`` maps every ready task to its F(i,k) evaluation per
+    usable PE.  Returns the chosen ``(task, PE)`` pair and why it won.
+    """
+    min_f: Dict[str, Evaluation] = {}
+    for task_name, per_pe in evaluations.items():
+        if not per_pe:
+            raise SchedulingError(f"task {task_name!r} has no feasible PE")
+        min_f[task_name] = min(
+            per_pe.values(), key=lambda ev: (ev.finish, ev.energy, ev.pe)
+        )
+
+    # Rule 3: violating tasks go first, fastest PE wins.
+    violations = [
+        (min_f[t].finish - budgets[t].budgeted_deadline, t)
+        for t in evaluations
+        if min_f[t].finish > budgets[t].budgeted_deadline + EPS
+    ]
+    if violations:
+        violations.sort(key=lambda item: (-item[0], item[1]))
+        chosen = violations[0][1]
+        return chosen, min_f[chosen].pe, SelectionOutcome(rescue=True)
+
+    # Rule 4: all tasks can meet their BD somewhere; maximise regret.
+    # Ties: tighter (smaller) BD first, then task name, for determinism.
+    best_task: Optional[str] = None
+    best_key: Tuple[float, float] = (-math.inf, -math.inf)
+    best_pe = -1
+    for task_name in sorted(evaluations):
+        per_pe = evaluations[task_name]
+        bd = budgets[task_name].budgeted_deadline
+        feasible = [ev for ev in per_pe.values() if ev.finish <= bd + EPS]
+        feasible.sort(key=lambda ev: (ev.energy, ev.finish, ev.pe))
+        e1 = feasible[0]
+        delta = math.inf if len(feasible) == 1 else feasible[1].energy - e1.energy
+        key = (delta, -bd)
+        if best_task is None or key > best_key:
+            best_task = task_name
+            best_key = key
+            best_pe = e1.pe
+    assert best_task is not None
+    return best_task, best_pe, SelectionOutcome(regret=best_key[0])
+
+
+def task_decision(
+    algorithm: str,
+    placement: TaskPlacement,
+    outcome: SelectionOutcome,
+    per_pe: Mapping[int, Evaluation],
+    bd: float,
+) -> TaskDecision:
+    """The provenance record of one Step-2 commit.
+
+    ``per_pe`` holds the committed task's evaluation on every usable PE;
+    the one on ``placement.pe`` is the chosen candidate, the rest are
+    the beaten ones in PE order.
+    """
+    return TaskDecision(
+        task=placement.task,
+        pe=placement.pe,
+        algorithm=algorithm,
+        rescue=outcome.rescue,
+        regret=outcome.regret,
+        start=placement.start,
+        finish=placement.finish,
+        energy=placement.energy,
+        bd=bd,
+        chosen=_candidate_from_eval(per_pe[placement.pe], bd),
+        candidates=[
+            _candidate_from_eval(ev, bd)
+            for pe_index, ev in sorted(per_pe.items())
+            if pe_index != placement.pe
+        ],
+    )
 
 
 class LevelBasedScheduler:
@@ -215,8 +249,6 @@ class LevelBasedScheduler:
         budgets: Mapping[str, TaskBudget],
         algorithm_name: str = "eas-base",
         contention_aware: bool = True,
-        use_cache: bool = True,
-        use_path_cache: bool = True,
         preplaced: Optional[Mapping[str, TaskPlacement]] = None,
         tables: Optional[ResourceTables] = None,
         floor: float = 0.0,
@@ -226,16 +258,14 @@ class LevelBasedScheduler:
         self.budgets = budgets
         self.algorithm_name = algorithm_name
         self.contention_aware = contention_aware
-        self.use_cache = use_cache
         self.floor = floor
-        self._tables = (
-            tables if tables is not None else ResourceTables(use_path_cache=use_path_cache)
-        )
+        self._tables = tables if tables is not None else ResourceTables()
         self._placements: Dict[str, TaskPlacement] = (
             dict(preplaced) if preplaced else {}
         )
-        #: clean F(i,k) evaluations carried across RTL iterations.
-        self._cache: Dict[Tuple[str, int], _Evaluation] = {}
+        #: clean F(i,k) evaluations carried across RTL iterations, with
+        #: each one's probe footprint and granted windows.
+        self._cache: Dict[Tuple[str, int], Tuple[Evaluation, FrozenSet[Hashable], Windows]] = {}
         #: per-task feasible PE indices (static: depends on types only).
         self._feasible_pes: Dict[str, List[int]] = {}
         ins = obs.get()
@@ -260,112 +290,32 @@ class LevelBasedScheduler:
             self._feasible_pes[task_name] = pes
         return pes
 
-    def _evaluate(self, task_name: str, pe_index: int) -> Optional[_Evaluation]:
-        """Compute ``F(i,k)``; ``None`` when the PE is unusable.
+    def _evaluate(self, task_name: str, pe_index: int) -> Optional[Evaluation]:
+        """Compute ``F(i,k)`` and cache it; ``None`` when the PE is unusable.
 
-        A PE can be unusable because its type cannot run the task, or —
-        on a fault-degraded platform — because a partition leaves no
-        route from some already-placed sender (``UnroutableError``); both
-        simply remove the candidate.
+        On a fault-degraded platform a partition can leave no route from
+        some already-placed sender; that simply removes the candidate.
+        The cache entry records the evaluation's footprint (the PE and
+        link tables the probe read) and its granted windows (the link
+        reservations plus the task's own slot on the PE).
         """
-        task = self.ctg.task(task_name)
-        pe = self.acg.pe(pe_index)
-        cost = task.cost_on(pe.type_name)
-        if not cost.feasible:
+        evaluation = probe(
+            self._tables, self.ctg, self.acg, self._placements, task_name, pe_index,
+            floor=self.floor, contention_aware=self.contention_aware,
+        )
+        if evaluation is None:
             return None
-        overlay = self._tables.overlay()
-        try:
-            drt, comms = schedule_incoming_transactions(
-                self.ctg,
-                self.acg,
-                task_name,
-                pe_index,
-                self._placements,
-                overlay,
-                contention_aware=self.contention_aware,
-                floor=self.floor,
-            )
-        except UnroutableError:
-            overlay.drop()
-            return None
-        start = overlay.find_earliest(pe_index, max(drt, self.floor), cost.time)
-        footprint = overlay.probed_resources()
-        reservations = overlay.reservations()
-        overlay.drop()  # the paper's table restore
         self._eval_counter.inc()
         self._restore_counter.inc()
-        comm_energy = sum(c.energy for c in comms)
-        windows = dict(reservations)
-        windows[pe_index] = ((start, start + cost.time),)
-        return _Evaluation(
-            task=task_name,
-            pe=pe_index,
-            start=start,
-            finish=start + cost.time,
-            drt=drt,
-            energy=cost.energy + comm_energy,
-            comms=comms,
-            reservations=reservations,
-            footprint=footprint,
-            windows=windows,
-        )
-
-    def _commit(
-        self,
-        task_name: str,
-        pe_index: int,
-        schedule: Schedule,
-        cached: Optional[_Evaluation] = None,
-    ) -> TaskPlacement:
-        """Make the chosen ``(task, PE)`` pair permanent.
-
-        With a *clean* cached evaluation (one whose footprint no commit
-        has dirtied since it was computed — which every evaluation the
-        selection just used is, by construction) the stored transaction
-        placements and link reservations are replayed verbatim;
-        otherwise the evaluation is recomputed, the naive reference
-        behaviour.
-        """
-        task = self.ctg.task(task_name)
-        pe = self.acg.pe(pe_index)
-        cost = task.cost_on(pe.type_name)
-        if cached is not None:
-            start = cached.start
-            comms = cached.comms
-            for resource, intervals in cached.reservations.items():
-                for interval_start, interval_end in intervals:
-                    self._tables.reserve(resource, interval_start, interval_end)
-        else:
-            overlay = self._tables.overlay()
-            drt, comms = schedule_incoming_transactions(
-                self.ctg,
-                self.acg,
-                task_name,
-                pe_index,
-                self._placements,
-                overlay,
-                contention_aware=self.contention_aware,
-                floor=self.floor,
-            )
-            start = overlay.find_earliest(pe_index, max(drt, self.floor), cost.time)
-            overlay.commit()
-        self._tables.reserve(pe_index, start, start + cost.time)
-        placement = TaskPlacement(
-            task=task_name,
-            pe=pe_index,
-            start=start,
-            finish=start + cost.time,
-            energy=cost.energy,
-        )
-        self._placements[task_name] = placement
-        schedule.place_task(placement)
-        for comm in comms:
-            schedule.place_comm(comm)
-        return placement
+        windows = evaluation.overlay.reservations()
+        windows[pe_index] = ((evaluation.start, evaluation.finish),)
+        footprint = evaluation.overlay.probed_resources()
+        self._cache[(task_name, pe_index)] = (evaluation, footprint, windows)
+        return evaluation
 
     # -- cache maintenance --------------------------------------------------
 
-    def _invalidate(self, committed: _Evaluation) -> int:
+    def _invalidate(self, committed: Evaluation) -> int:
         """Evict cache entries whose footprint the commit dirtied.
 
         A commit mutates exactly (a) the committed PE's table and (b)
@@ -380,15 +330,13 @@ class LevelBasedScheduler:
         Entries of the committed task itself are consumed, not
         invalidated.  Returns the number of dirtied entries.
         """
-        dirty = committed.windows
+        dirty = self._cache[(committed.task, committed.pe)][2]
         evicted = 0
         stale: List[Tuple[str, int]] = []
-        for key, evaluation in self._cache.items():
+        for key, (_evaluation, footprint, windows) in self._cache.items():
             if key[0] == committed.task:
                 stale.append(key)
-            elif not evaluation.footprint.isdisjoint(dirty) and _windows_conflict(
-                dirty, evaluation.windows
-            ):
+            elif not footprint.isdisjoint(dirty) and _windows_conflict(dirty, windows):
                 stale.append(key)
                 evicted += 1
         for key in stale:
@@ -404,51 +352,6 @@ class LevelBasedScheduler:
             retained=len(self._cache),
         )
         return evicted
-
-    # -- selection ------------------------------------------------------------
-
-    def _select(
-        self, evaluations: Dict[str, Dict[int, _Evaluation]]
-    ) -> Tuple[str, int, _SelectionOutcome]:
-        """Apply the paper's Step-2 selection rules to the current RTL."""
-        min_f: Dict[str, _Evaluation] = {}
-        for task_name, per_pe in evaluations.items():
-            if not per_pe:
-                raise SchedulingError(f"task {task_name!r} has no feasible PE")
-            min_f[task_name] = min(
-                per_pe.values(), key=lambda ev: (ev.finish, ev.energy, ev.pe)
-            )
-
-        # Rule 3: violating tasks go first, fastest PE wins.
-        violations = [
-            (min_f[t].finish - self.budgets[t].budgeted_deadline, t)
-            for t in evaluations
-            if min_f[t].finish > self.budgets[t].budgeted_deadline + EPS
-        ]
-        if violations:
-            violations.sort(key=lambda item: (-item[0], item[1]))
-            chosen = violations[0][1]
-            return chosen, min_f[chosen].pe, _SelectionOutcome(rescue=True)
-
-        # Rule 4: all tasks can meet their BD somewhere; maximise regret.
-        # Ties: tighter (smaller) BD first, then task name, for determinism.
-        best_task: Optional[str] = None
-        best_key: Tuple[float, float] = (-math.inf, -math.inf)
-        best_pe = -1
-        for task_name in sorted(evaluations):
-            per_pe = evaluations[task_name]
-            bd = self.budgets[task_name].budgeted_deadline
-            feasible = [ev for ev in per_pe.values() if ev.finish <= bd + EPS]
-            feasible.sort(key=lambda ev: (ev.energy, ev.finish, ev.pe))
-            e1 = feasible[0]
-            delta = math.inf if len(feasible) == 1 else feasible[1].energy - e1.energy
-            key = (delta, -bd)
-            if best_task is None or key > best_key:
-                best_task = task_name
-                best_key = key
-                best_pe = e1.pe
-        assert best_task is not None
-        return best_task, best_pe, _SelectionOutcome(regret=best_key[0])
 
     # -- main loop ----------------------------------------------------------------
 
@@ -471,7 +374,6 @@ class LevelBasedScheduler:
         record_decisions = ins.decisions.enabled
         decided: List[TaskDecision] = []
 
-        use_cache = self.use_cache
         cache = self._cache
         total_hits = 0
         total_invalidations = 0
@@ -482,25 +384,23 @@ class LevelBasedScheduler:
             ctg=self.ctg.name,
             tasks=self.ctg.n_tasks,
             pes=len(self.acg.pes),
-            eval_cache=use_cache,
+            eval_cache=True,
         ) as level_span:
             while ready:
-                evaluations: Dict[str, Dict[int, _Evaluation]] = {}
+                evaluations: Dict[str, Dict[int, Evaluation]] = {}
                 with ins.tracer.span("evaluate_rtl", ready=len(ready)) as rtl_span:
                     hits = fresh = 0
                     for task_name in ready:
-                        per_pe: Dict[int, _Evaluation] = {}
+                        per_pe: Dict[int, Evaluation] = {}
                         for pe_index in self._pes_for(task_name):
-                            key = (task_name, pe_index)
-                            evaluation = cache.get(key) if use_cache else None
-                            if evaluation is None:
+                            entry = cache.get((task_name, pe_index))
+                            if entry is None:
                                 evaluation = self._evaluate(task_name, pe_index)
                                 if evaluation is None:
                                     continue
                                 fresh += 1
-                                if use_cache:
-                                    cache[key] = evaluation
                             else:
+                                evaluation = entry[0]
                                 hits += 1
                             per_pe[pe_index] = evaluation
                         evaluations[task_name] = per_pe
@@ -510,37 +410,19 @@ class LevelBasedScheduler:
                     rtl_span.set_attribute("cache_hits", hits)
                     rtl_span.set_attribute("evaluations", fresh)
 
-                chosen_task, chosen_pe, outcome = self._select(evaluations)
+                chosen_task, chosen_pe, outcome = select_candidate(evaluations, self.budgets)
                 chosen_eval = evaluations[chosen_task][chosen_pe]
-                placement = self._commit(
-                    chosen_task,
-                    chosen_pe,
-                    schedule,
-                    cached=chosen_eval if use_cache else None,
-                )
-                if use_cache:
-                    total_invalidations += self._invalidate(chosen_eval)
+                # Every evaluation the selection saw is clean, so the
+                # commit replays the chosen one verbatim.
+                placement = commit(self._tables, self._placements, schedule, chosen_eval)
+                total_invalidations += self._invalidate(chosen_eval)
                 commit_counter.inc()
                 if outcome.rescue:
                     rescue_counter.inc()
                 if record_decisions:
                     bd = self.budgets[chosen_task].budgeted_deadline
-                    decision = TaskDecision(
-                        task=chosen_task,
-                        pe=chosen_pe,
-                        algorithm=self.algorithm_name,
-                        rescue=outcome.rescue,
-                        regret=outcome.regret,
-                        start=placement.start,
-                        finish=placement.finish,
-                        energy=placement.energy,
-                        bd=bd,
-                        chosen=_candidate_from_eval(chosen_eval, bd),
-                        candidates=[
-                            _candidate_from_eval(ev, bd)
-                            for pe_index, ev in sorted(evaluations[chosen_task].items())
-                            if pe_index != chosen_pe
-                        ],
+                    decision = task_decision(
+                        self.algorithm_name, placement, outcome, evaluations[chosen_task], bd
                     )
                     ins.decisions.record(decision)
                     decided.append(decision)
@@ -590,8 +472,6 @@ def eas_base_schedule(
             budgets,
             algorithm_name="eas-base" if cfg.contention_aware else "eas-base-nocontention",
             contention_aware=cfg.contention_aware,
-            use_cache=cfg.use_cache,
-            use_path_cache=cfg.use_path_cache,
         ).run()
     schedule.runtime_seconds = timing.seconds
     return schedule
@@ -616,11 +496,7 @@ def eas_schedule(
         if cfg.repair and schedule.deadline_misses():
             repaired, _report = search_and_repair(
                 schedule,
-                RepairConfig(
-                    max_rounds=cfg.max_repair_rounds,
-                    use_incremental=cfg.use_incremental_repair,
-                    use_path_cache=cfg.use_path_cache,
-                ),
+                RepairConfig(max_rounds=cfg.max_repair_rounds),
             )
             # Repair only reorders/remaps; the level-schedule decisions
             # remain the provenance of the original placements.

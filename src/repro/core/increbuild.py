@@ -31,7 +31,8 @@ move against the *delta* it induces instead:
    nothing.
 
 3. **Dirty-cone replay.**  From the frontier the engine runs the very
-   same probe/commit loop as ``rebuild_schedule`` (shared code), so the
+   same loop as ``rebuild_schedule`` (:func:`~repro.core.rebuild.commit_steps`,
+   over the Fig. 3 kernel in ``core/placement.py``), so the
    result is float-exact identical to a from-scratch rebuild — the
    equivalence the randomized harness in ``tests/test_increbuild.py``
    byte-compares via serialization v2.
@@ -50,24 +51,22 @@ move against the *delta* it induces instead:
    verbatim).  The memo is cleared whenever a move is accepted.
 
 Soundness arguments are spelled out in DESIGN.md ("Incremental repair
-correctness"); ``RepairConfig.use_incremental`` (CLI
-``--no-incremental-repair``) keeps the paper-literal full-rebuild path
-as the reference implementation.
+correctness").  The paper-literal full rebuild per candidate is the
+reference scheduler's Step 3 (``core/reference.py``), which the
+equivalence tests compare against.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
+from repro.core.placement import probe
 from repro.core.rebuild import (
     CommitStep,
-    _commit,
-    _eligible_tasks,
-    _probe,
+    commit_steps,
     rebuild_schedule,
     rebuild_schedule_traced,
 )
@@ -75,7 +74,7 @@ from repro.ctg.graph import CTG
 from repro.errors import InfeasibleOrderError
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
-from repro.schedule.table import EPS, Interval
+from repro.schedule.table import EPS
 from repro.schedule.serialization import schedule_to_json
 
 MissMetric = Tuple[int, float]
@@ -104,9 +103,9 @@ class IncrementalRebuilder:
     provably unable to beat the incumbent), and :meth:`promote` adopts
     the last winning candidate as the new incumbent.
 
-    ``early_abort`` and ``memoize`` exist so the equivalence harness can
-    exercise the pure prefix-replay path; ``selfcheck`` cross-checks
-    every evaluation against a from-scratch rebuild (byte-comparing the
+    ``memoize=False`` lets the equivalence harness re-evaluate repeated
+    candidates; ``selfcheck`` cross-checks every evaluation — early
+    aborts included — against a from-scratch rebuild (byte-comparing the
     v2 serialization) and turns any divergence into an assertion — the
     debug mode the randomized corpus runs under.
     """
@@ -118,18 +117,14 @@ class IncrementalRebuilder:
         mapping: Mapping[str, int],
         orders: Mapping[int, Sequence[str]],
         algorithm: str = "rebuild",
-        early_abort: bool = True,
         memoize: bool = True,
         selfcheck: bool = False,
-        use_path_cache: bool = True,
     ) -> None:
         self.ctg = ctg
         self.acg = acg
         self.algorithm = algorithm
-        self.early_abort = early_abort
         self.memoize = memoize
         self.selfcheck = selfcheck
-        self.use_path_cache = use_path_cache
         self._in_degree: Dict[str, int] = {
             name: ctg.in_degree(name) for name in ctg.task_names()
         }
@@ -162,24 +157,16 @@ class IncrementalRebuilder:
         """
         if self._trace is not None:
             return
+        tables = ResourceTables()
         _schedule, trace = rebuild_schedule_traced(
             self.ctg,
             self.acg,
             self._mapping0,
             self._orders0,
             algorithm=self.algorithm,
-            use_path_cache=self.use_path_cache,
+            tables=tables,
         )
-        self._adopt(self._mapping0, self._orders0, trace, self._tables_of(trace))
-
-    def _tables_of(self, trace: Sequence[CommitStep]) -> ResourceTables:
-        tables = ResourceTables(use_path_cache=self.use_path_cache)
-        for step in trace:
-            tables.reserve(step.pe, step.placement.start, step.placement.finish)
-            for comm in step.comms:
-                for link in comm.links:
-                    tables.reserve(link, comm.start, comm.finish)
-        return tables
+        self._adopt(self._mapping0, self._orders0, trace, tables)
 
     def _adopt(
         self,
@@ -307,11 +294,14 @@ class IncrementalRebuilder:
                         tables = self._materialize(k)
                     key_k = (step.placement.start, step.placement.finish, chosen)
                     for name in divergent:
-                        start, finish = _probe(
-                            self.ctg, self.acg, name, mapping1[name], placements, tables
+                        evaluation = probe(
+                            tables, self.ctg, self.acg, placements, name, mapping1[name]
                         )
                         self._probe_counter.inc()
-                        if (start, finish, name) < key_k:
+                        # An unusable PE diverges too: the replay raises.
+                        if evaluation is None or (
+                            evaluation.start, evaluation.finish, name
+                        ) < key_k:
                             hard = True
                             break
             if hard:
@@ -338,25 +328,10 @@ class IncrementalRebuilder:
     def _materialize(self, frontier: int) -> ResourceTables:
         """Fork the incumbent tables and undo the dirty cone's reservations."""
         tables = self._final_tables.fork()
-        undo: Dict[Hashable, List[Interval]] = {}
-        for step in self._trace[frontier:]:
-            placement = step.placement
-            if placement.finish - placement.start > EPS:
-                undo.setdefault(step.pe, []).append((placement.start, placement.finish))
-            for comm in step.comms:
-                if comm.finish - comm.start > EPS:
-                    for link in comm.links:
-                        undo.setdefault(link, []).append((comm.start, comm.finish))
-        for resource, intervals in undo.items():
-            intervals.sort()
-            # Zero-copy read: compared, never mutated (the slice copies).
-            busy = tables.busy_view(resource)
-            tail_at = bisect_left(busy, (intervals[0][0], -math.inf))
-            if busy[tail_at:] == intervals:
-                tables.truncate_from(resource, intervals[0][0])
-            else:
-                for start, end in intervals:
-                    tables.release(resource, start, end)
+        cone = self._trace[frontier:]
+        tables.unreserve(
+            (step.placement for step in cone), (comm for step in cone for comm in step.comms)
+        )
         return tables
 
     def evaluate(
@@ -389,7 +364,7 @@ class IncrementalRebuilder:
         )
         self._prefix_counter.inc(frontier)
         bound = self._cum_bound[frontier]
-        if self.early_abort and not bound < incumbent_metric:
+        if not bound < incumbent_metric:
             self._abort_counter.inc()
             self._memo.add(signature)
             self._crosscheck(None, mapping, orders, incumbent_metric, aborted=True)
@@ -435,10 +410,10 @@ class IncrementalRebuilder:
         bound: MissMetric,
         incumbent_metric: MissMetric,
     ) -> Tuple[Optional[Schedule], List[CommitStep], ResourceTables]:
-        """Replay the dirty cone through the shared probe/commit loop."""
-        ctg, acg = self.ctg, self.acg
+        """Replay the dirty cone through the shared rebuild loop."""
+        ctg = self.ctg
         prefix = self._trace[:frontier]
-        schedule = Schedule(ctg, acg, algorithm=self.algorithm)
+        schedule = Schedule(ctg, self.acg, algorithm=self.algorithm)
         for step in prefix:
             schedule.place_task(step.placement)
             for comm in step.comms:
@@ -448,45 +423,23 @@ class IncrementalRebuilder:
         misses, tardiness = bound
         replayed = 0
         task_of = ctg.task
-
-        while unplaced:
-            eligible = _eligible_tasks(
-                ctg, mapping, orders, next_slot, remaining_preds, unplaced
-            )
-            if not eligible:
-                self._replayed_counter.inc(replayed)
-                raise InfeasibleOrderError(
-                    "per-PE orders deadlock against CTG precedence; "
-                    f"{len(unplaced)} tasks stuck"
-                )
-            best: Optional[Tuple[float, float, str]] = None
-            for name in eligible:
-                start, finish = _probe(ctg, acg, name, mapping[name], placements, tables)
-                key = (start, finish, name)
-                if best is None or key < best:
-                    best = key
-            chosen = best[2]
-            placement, comms = _commit(
-                ctg, acg, chosen, mapping[chosen], placements, tables, schedule
-            )
-            replayed += 1
-            trace.append(
-                CommitStep(task=chosen, pe=placement.pe, placement=placement, comms=tuple(comms))
-            )
-            unplaced.discard(chosen)
-            next_slot[mapping[chosen]] += 1
-            for succ in ctg.successors(chosen):
-                remaining_preds[succ] -= 1
-            deadline = task_of(chosen).deadline
-            if placement.finish > deadline + EPS:
-                misses += 1
-            if math.isfinite(deadline):
-                tardiness += max(0.0, placement.finish - deadline)
-            if self.early_abort and not (misses, tardiness) < incumbent_metric:
-                self._replayed_counter.inc(replayed)
-                return None, trace, tables
-
-        self._replayed_counter.inc(replayed)
+        try:
+            for step in commit_steps(
+                ctg, self.acg, mapping, orders, next_slot, remaining_preds,
+                unplaced, placements, tables, schedule,
+            ):
+                replayed += 1
+                trace.append(step)
+                deadline = task_of(step.task).deadline
+                finish = step.placement.finish
+                if finish > deadline + EPS:
+                    misses += 1
+                if math.isfinite(deadline):
+                    tardiness += max(0.0, finish - deadline)
+                if not (misses, tardiness) < incumbent_metric:
+                    return None, trace, tables
+        finally:
+            self._replayed_counter.inc(replayed)
         return schedule, trace, tables
 
     # -- selfcheck (debug / equivalence harness) ------------------------------
@@ -504,12 +457,7 @@ class IncrementalRebuilder:
             return
         try:
             full = rebuild_schedule(
-                self.ctg,
-                self.acg,
-                mapping,
-                orders,
-                algorithm=self.algorithm,
-                use_path_cache=self.use_path_cache,
+                self.ctg, self.acg, mapping, orders, algorithm=self.algorithm
             )
         except InfeasibleOrderError:
             full = None

@@ -18,13 +18,13 @@ move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.placement import Evaluation, commit, probe
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError, SchedulingError
+from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
@@ -53,31 +53,28 @@ def rebuild_schedule(
     mapping: Mapping[str, int],
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
-    use_path_cache: bool = True,
+    *,
+    tables: Optional[ResourceTables] = None,
+    preplaced: Optional[Schedule] = None,
+    floor: float = 0.0,
 ) -> Schedule:
     """Rebuild a timed schedule from a mapping and per-PE task orders.
 
     Among the tasks eligible at each step (all predecessors placed *and*
     first unplaced task in their PE's order), the one whose execution can
     start earliest is committed first; this keeps the reconstruction
-    deterministic and packs resources greedily.
-
-    ``use_path_cache=False`` re-merges every route per probe (the
-    literal reference path); the result is bit-identical either way.
+    deterministic and packs resources greedily.  The keyword arguments
+    are those of :func:`rebuild_schedule_traced`.
 
     Raises:
         InfeasibleOrderError: the orders deadlock against the precedence
             constraints.
         SchedulingError: the mapping assigns a task to an infeasible PE.
+        UnroutableError: a fault partition cuts a task off from a sender.
     """
     schedule, _trace = rebuild_schedule_traced(
-        ctg,
-        acg,
-        mapping,
-        pe_orders,
-        algorithm=algorithm,
-        record_trace=False,
-        use_path_cache=use_path_cache,
+        ctg, acg, mapping, pe_orders, algorithm, record_trace=False,
+        tables=tables, preplaced=preplaced, floor=floor,
     )
     return schedule
 
@@ -89,13 +86,25 @@ def rebuild_schedule_traced(
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
     record_trace: bool = True,
-    use_path_cache: bool = True,
+    *,
+    tables: Optional[ResourceTables] = None,
+    preplaced: Optional[Schedule] = None,
+    floor: float = 0.0,
 ) -> Tuple[Schedule, List[CommitStep]]:
     """:func:`rebuild_schedule` plus the commit trace it followed.
 
     With ``record_trace=False`` the trace list comes back empty (this is
     the body of :func:`rebuild_schedule`); the schedule is identical
     either way.
+
+    ``tables`` are the resource tables to schedule on (fresh ones by
+    default); they hold the final state afterwards.  ``preplaced`` is a
+    partial schedule whose placements are final: its tasks are skipped
+    in the orders and never re-scheduled, and its task and transaction
+    placements open the result.  ``floor`` bounds every new transaction
+    and execution start from below.  Degraded-mode recovery uses all
+    three to rebuild over salvaged tables with the pre-fault prefix
+    frozen.
     """
     for name in ctg.task_names():
         if name not in mapping:
@@ -106,14 +115,12 @@ def rebuild_schedule_traced(
     expected: Dict[int, List[str]] = {pe.index: [] for pe in acg.pes}
     for name, pe_index in mapping.items():
         expected.setdefault(pe_index, []).append(name)
-    position: Dict[str, int] = {}
     for pe_index, order in pe_orders.items():
-        for pos, name in enumerate(order):
+        for name in order:
             if mapping.get(name) != pe_index:
                 raise SchedulingError(
                     f"order of PE {pe_index} lists {name!r}, mapped to PE {mapping.get(name)}"
                 )
-            position[name] = pos
     for pe_index, names in expected.items():
         order = list(pe_orders.get(pe_index, ()))
         if sorted(order) != sorted(names):
@@ -122,58 +129,85 @@ def rebuild_schedule_traced(
             )
 
     schedule = Schedule(ctg, acg, algorithm=algorithm)
-    tables = ResourceTables(use_path_cache=use_path_cache)
     placements: Dict[str, TaskPlacement] = {}
-    next_slot: Dict[int, int] = {pe_index: 0 for pe_index in expected}
+    if preplaced is not None:
+        for placement in preplaced.task_placements.values():
+            schedule.place_task(placement)
+            placements[placement.task] = placement
+        for comm in preplaced.comm_placements.values():
+            schedule.place_comm(comm)
+        pe_orders = {
+            pe_index: [name for name in order if name not in placements]
+            for pe_index, order in pe_orders.items()
+        }
+    unplaced = {name for name in ctg.task_names() if name not in placements}
     remaining_preds: Dict[str, int] = {
-        name: ctg.in_degree(name) for name in ctg.task_names()
+        name: sum(1 for pred in ctg.predecessors(name) if pred not in placements)
+        for name in unplaced
     }
-    unplaced = set(ctg.task_names())
+    next_slot: Dict[int, int] = {pe_index: 0 for pe_index in expected}
     trace: List[CommitStep] = []
     scheduled_counter = obs.get().metrics.counter("rebuild.tasks_scheduled")
+    tables = tables if tables is not None else ResourceTables()
+    for step in commit_steps(
+        ctg, acg, mapping, pe_orders, next_slot, remaining_preds, unplaced,
+        placements, tables, schedule, floor,
+    ):
+        scheduled_counter.inc()
+        if record_trace:
+            trace.append(step)
+    return schedule, trace
 
+
+def commit_steps(
+    ctg: CTG,
+    acg: ACG,
+    mapping: Mapping[str, int],
+    pe_orders: Mapping[int, Sequence[str]],
+    next_slot: Dict[int, int],
+    remaining_preds: Dict[str, int],
+    unplaced: Set[str],
+    placements: Dict[str, TaskPlacement],
+    tables: ResourceTables,
+    schedule: Schedule,
+    floor: float = 0.0,
+) -> Iterator[CommitStep]:
+    """The rebuild loop: commit the earliest eligible task until none is left.
+
+    Advances the given state in place (``next_slot``, ``remaining_preds``,
+    ``unplaced``, ``placements``, ``tables``, ``schedule``) and yields
+    each commit as it happens, so a caller may stop early.  Both
+    :func:`rebuild_schedule_traced` and the incremental repair engine's
+    dirty-cone replay run this loop.
+
+    Raises:
+        InfeasibleOrderError: the orders deadlock against precedence.
+    """
     while unplaced:
-        eligible = _eligible_tasks(
-            ctg, mapping, pe_orders, next_slot, remaining_preds, unplaced
-        )
+        eligible = eligible_tasks(pe_orders, next_slot, remaining_preds, unplaced)
         if not eligible:
             raise InfeasibleOrderError(
                 "per-PE orders deadlock against CTG precedence; "
                 f"{len(unplaced)} tasks stuck"
             )
-        best: Optional[Tuple[float, float, str]] = None
-        for name in eligible:
-            start, finish = _probe(ctg, acg, name, mapping[name], placements, tables)
-            key = (start, finish, name)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        chosen = best[2]
-        placement, comms = _commit(
-            ctg, acg, chosen, mapping[chosen], placements, tables, schedule
-        )
-        scheduled_counter.inc()
-        if record_trace:
-            trace.append(
-                CommitStep(
-                    task=chosen, pe=placement.pe, placement=placement, comms=tuple(comms)
-                )
-            )
+        evaluation = earliest_eligible(ctg, acg, eligible, mapping, placements, tables, floor)
+        placement = commit(tables, placements, schedule, evaluation)
+        chosen = evaluation.task
         unplaced.discard(chosen)
-        next_slot[mapping[chosen]] += 1
+        next_slot[placement.pe] += 1
         for succ in ctg.successors(chosen):
-            remaining_preds[succ] -= 1
+            if succ in remaining_preds:
+                remaining_preds[succ] -= 1
+        yield CommitStep(
+            task=chosen, pe=placement.pe, placement=placement, comms=tuple(evaluation.comms)
+        )
 
-    return schedule, trace
 
-
-def _eligible_tasks(
-    ctg: CTG,
-    mapping: Mapping[str, int],
+def eligible_tasks(
     pe_orders: Mapping[int, Sequence[str]],
     next_slot: Mapping[int, int],
     remaining_preds: Mapping[str, int],
-    unplaced: set,
+    unplaced: Set[str],
 ) -> List[str]:
     """Tasks that are next on their PE and whose predecessors are placed."""
     eligible = []
@@ -186,69 +220,38 @@ def _eligible_tasks(
     return eligible
 
 
-def _probe(
+def earliest_eligible(
     ctg: CTG,
     acg: ACG,
-    task_name: str,
-    pe_index: int,
+    eligible: Sequence[str],
+    mapping: Mapping[str, int],
     placements: Dict[str, TaskPlacement],
     tables: ResourceTables,
     floor: float = 0.0,
-) -> Tuple[float, float]:
-    """Tentative (start, finish) of placing ``task_name`` now.
+) -> Evaluation:
+    """Probe each eligible task on its mapped PE; the earliest start wins.
 
-    ``floor`` bounds both the transactions and the execution start from
-    below; degraded-mode recovery rebuilds pass the fault time so the
-    salvaged past stays untouched.
+    Ties break on finish time, then task name.
+
+    Raises:
+        SchedulingError: a task is mapped to a PE of an infeasible type.
+        UnroutableError: a fault partition cuts a task off from a sender.
     """
-    cost = _cost(ctg, acg, task_name, pe_index)
-    overlay = tables.overlay()
-    drt, _comms = schedule_incoming_transactions(
-        ctg, acg, task_name, pe_index, placements, overlay, floor=floor
-    )
-    start = overlay.find_earliest(pe_index, max(drt, floor), cost.time)
-    overlay.drop()
-    return start, start + cost.time
-
-
-def _commit(
-    ctg: CTG,
-    acg: ACG,
-    task_name: str,
-    pe_index: int,
-    placements: Dict[str, TaskPlacement],
-    tables: ResourceTables,
-    schedule: Schedule,
-    floor: float = 0.0,
-) -> Tuple[TaskPlacement, List[CommPlacement]]:
-    cost = _cost(ctg, acg, task_name, pe_index)
-    overlay = tables.overlay()
-    drt, comms = schedule_incoming_transactions(
-        ctg, acg, task_name, pe_index, placements, overlay, floor=floor
-    )
-    start = overlay.find_earliest(pe_index, max(drt, floor), cost.time)
-    overlay.commit()
-    tables.reserve(pe_index, start, start + cost.time)
-    placement = TaskPlacement(
-        task=task_name,
-        pe=pe_index,
-        start=start,
-        finish=start + cost.time,
-        energy=cost.energy,
-    )
-    placements[task_name] = placement
-    schedule.place_task(placement)
-    for comm in comms:
-        schedule.place_comm(comm)
-    return placement, comms
-
-
-def _cost(ctg: CTG, acg: ACG, task_name: str, pe_index: int):
-    task = ctg.task(task_name)
-    pe_type = acg.pe(pe_index).type_name
-    cost = task.cost_on(pe_type)
-    if not cost.feasible:
-        raise SchedulingError(
-            f"task {task_name!r} mapped to PE {pe_index} of infeasible type {pe_type!r}"
-        )
-    return cost
+    best: Optional[Evaluation] = None
+    best_key: Tuple[float, float, str] = (0.0, 0.0, "")
+    for name in eligible:
+        pe_index = mapping[name]
+        evaluation = probe(tables, ctg, acg, placements, name, pe_index, floor=floor)
+        if evaluation is None:
+            pe_type = acg.pe(pe_index).type_name
+            if not ctg.task(name).cost_on(pe_type).feasible:
+                raise SchedulingError(
+                    f"task {name!r} mapped to PE {pe_index} of infeasible type {pe_type!r}"
+                )
+            raise UnroutableError(f"task {name!r} on PE {pe_index}: no route from a sender")
+        key = (evaluation.start, evaluation.finish, name)
+        if best is None or key < best_key:
+            best = evaluation
+            best_key = key
+    assert best is not None
+    return best

@@ -30,7 +30,7 @@ from repro import obs
 from repro.core.comm import incoming_comm_energy, outgoing_comm_energy
 from repro.core.increbuild import IncrementalRebuilder
 from repro.core.rebuild import rebuild_schedule
-from repro.errors import InfeasibleOrderError, RoutingError
+from repro.errors import RoutingError
 from repro.schedule.schedule import Schedule
 
 MissMetric = Tuple[int, float]
@@ -48,18 +48,6 @@ class RepairConfig:
     #: destination rankings — the diversification knob the multi-start
     #: portfolio uses.  Never reads global ``random`` state.
     seed: Optional[int] = None
-    #: evaluate candidate moves with the incremental rebuild engine
-    #: (``core/increbuild.py``): prefix reuse, early abort, rejected-move
-    #: memoization.  ``False`` (CLI ``--no-incremental-repair``) keeps
-    #: the paper-literal full rebuild per candidate.  Both paths accept
-    #: the exact same move sequence; only runtime differs.
-    use_incremental: bool = True
-    #: serve Fig. 3 path probes from the version-keyed path-table cache
-    #: (``schedule/overlay.py``) inside every candidate rebuild.
-    #: ``False`` (CLI ``--no-path-cache``) keeps the literal
-    #: re-merge-per-probe reference path; schedules are bit-identical
-    #: either way.
-    use_path_cache: bool = True
     #: debug: cross-check every incremental evaluation against a full
     #: rebuild (byte-comparing serializations).  Slow; used by the
     #: equivalence harness in ``tests/test_increbuild.py``.
@@ -69,10 +57,11 @@ class RepairConfig:
     #: the salvaged pre-fault prefix this way; empty on a normal repair.
     frozen: FrozenSet[str] = frozenset()
     #: custom candidate evaluator ``(mapping, orders) -> Schedule | None``
-    #: replacing the built-in rebuild engines (``None`` = rejected move).
-    #: Degraded-mode recovery supplies one that rebuilds over the
-    #: degraded platform with the salvaged prefix pre-seeded; normal
-    #: repairs leave it None.
+    #: replacing the incremental rebuild engine (``None`` = rejected
+    #: move).  Degraded-mode recovery supplies one that rebuilds over the
+    #: degraded platform with the salvaged prefix pre-seeded, and the
+    #: paper-literal reference (``core/reference.py``) one that runs a
+    #: full rebuild per candidate; normal repairs leave it None.
     rebuilder: Optional[Callable[[Dict[str, int], Dict[int, List[str]]], Optional[Schedule]]] = None
 
 
@@ -122,15 +111,16 @@ def critical_tasks(schedule: Schedule) -> Set[str]:
 
 
 class _MoveEvaluator:
-    """Candidate-move evaluation behind one interface for both modes.
+    """Candidate-move evaluation behind one interface.
 
-    ``use_incremental`` picks between the paper-literal full rebuild per
-    candidate and the :class:`IncrementalRebuilder` dirty-cone replay.
-    Both return the identical schedule for a feasible candidate; the
-    incremental mode may also return ``None`` for candidates it *proves*
-    cannot beat the current metric (early abort, memoized rejection) —
-    exactly the candidates the caller would reject anyway, so the
-    accepted-move sequence is mode-independent.
+    Candidates go to the :class:`IncrementalRebuilder` dirty-cone replay
+    unless ``RepairConfig.rebuilder`` supplies an evaluator.  A full
+    rebuild and the incremental engine return the identical schedule
+    for a feasible candidate; the engine may also return ``None`` for
+    candidates it *proves* cannot beat the current metric (early abort,
+    memoized rejection) — exactly the candidates the caller would reject
+    anyway, so the accepted-move sequence does not depend on the
+    evaluator.
 
     Also owns the per-incumbent-mapping destination ranking cache:
     ``_destinations_by_energy`` depends only on (task, mapping), so GTM
@@ -146,9 +136,8 @@ class _MoveEvaluator:
         cfg: RepairConfig,
     ) -> None:
         self._engine: Optional[IncrementalRebuilder] = None
-        self._use_path_cache = cfg.use_path_cache
         self._rebuilder = cfg.rebuilder
-        if cfg.use_incremental and cfg.rebuilder is None:
+        if cfg.rebuilder is None:
             self._engine = IncrementalRebuilder(
                 schedule.ctg,
                 schedule.acg,
@@ -156,23 +145,17 @@ class _MoveEvaluator:
                 orders,
                 algorithm=schedule.algorithm,
                 selfcheck=cfg.selfcheck,
-                use_path_cache=cfg.use_path_cache,
             )
         self._dest_cache: Dict[str, List[int]] = {}
 
     def evaluate(
         self,
-        schedule: Schedule,
         mapping: Dict[str, int],
         orders: Dict[int, List[str]],
         metric: MissMetric,
     ) -> Optional[Schedule]:
-        if self._rebuilder is not None:
-            return self._rebuilder(mapping, orders)
         if self._engine is None:
-            return _try_rebuild(
-                schedule, mapping, orders, use_path_cache=self._use_path_cache
-            )
+            return self._rebuilder(mapping, orders)
         return self._engine.evaluate(mapping, orders, metric)
 
     def promote(self) -> None:
@@ -312,7 +295,6 @@ def _portfolio_start(payload: "_StartPayload") -> Dict[str, object]:
         schedule = rebuild_schedule(
             payload.ctg, payload.acg, payload.mapping, payload.orders,
             algorithm=payload.algorithm,
-            use_path_cache=payload.config.use_path_cache,
         )
         repaired, report = search_and_repair(schedule, payload.config)
         metric = miss_metric(repaired)
@@ -421,7 +403,6 @@ def multistart_search_and_repair(
         schedule.ctg, schedule.acg,
         raw[winner]["mapping"], raw[winner]["orders"],
         algorithm=schedule.algorithm,
-        use_path_cache=cfg.use_path_cache,
     )
     best.runtime_seconds = schedule.runtime_seconds
     return best, portfolio
@@ -467,7 +448,7 @@ def _lts_pass(
                 )
                 candidate_orders = dict(orders)
                 candidate_orders[pe] = candidate_order
-                rebuilt = evaluator.evaluate(schedule, mapping, candidate_orders, metric)
+                rebuilt = evaluator.evaluate(mapping, candidate_orders, metric)
                 if rebuilt is None:
                     continue
                 candidate_metric = miss_metric(rebuilt)
@@ -573,7 +554,7 @@ def _try_migrations(
         candidate_orders = {pe: list(names) for pe, names in orders.items()}
         candidate_orders[source_pe].remove(task)
         _insert_by_start(candidate_orders.setdefault(dest_pe, []), task, schedule)
-        rebuilt = evaluator.evaluate(schedule, candidate_mapping, candidate_orders, metric)
+        rebuilt = evaluator.evaluate(candidate_mapping, candidate_orders, metric)
         if rebuilt is None:
             continue
         candidate_metric = miss_metric(rebuilt)
@@ -709,23 +690,3 @@ def _criticality_order(schedule: Schedule, critical: Set[str]) -> List[str]:
         return (1, -worst, name)
 
     return sorted(critical, key=urgency)
-
-
-def _try_rebuild(
-    schedule: Schedule,
-    mapping: Dict[str, int],
-    orders: Dict[int, List[str]],
-    use_path_cache: bool = True,
-) -> Optional[Schedule]:
-    """Rebuild, treating infeasible orders as a rejected move."""
-    try:
-        return rebuild_schedule(
-            schedule.ctg,
-            schedule.acg,
-            mapping,
-            orders,
-            algorithm=schedule.algorithm,
-            use_path_cache=use_path_cache,
-        )
-    except InfeasibleOrderError:
-        return None

@@ -12,7 +12,7 @@ from typing import Any, Dict
 
 from repro.ctg.graph import CTG
 from repro.ctg.task import CommEdge, Task, TaskCosts
-from repro.errors import SerializationError
+from repro.errors import CTGError, SerializationError
 
 FORMAT_VERSION = 1
 
@@ -52,13 +52,16 @@ def ctg_from_dict(data: Dict[str, Any]) -> CTG:
         ctg = CTG(name=data["name"])
         for entry in data["tasks"]:
             deadline = entry.get("deadline")
+            costs = {}
+            for pe_type, c in entry["costs"].items():
+                try:
+                    costs[pe_type] = TaskCosts(time=c["time"], energy=c["energy"])
+                except CTGError as exc:
+                    raise CTGError(f"task {entry['name']!r}: costs[{pe_type!r}]: {exc}") from exc
             ctg.add_task(
                 Task(
                     name=entry["name"],
-                    costs={
-                        pe_type: TaskCosts(time=c["time"], energy=c["energy"])
-                        for pe_type, c in entry["costs"].items()
-                    },
+                    costs=costs,
                     deadline=math.inf if deadline is None else float(deadline),
                     task_type=entry.get("task_type"),
                 )

@@ -39,8 +39,10 @@ class TaskCosts:
     energy: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise CTGError(f"negative execution time {self.time}")
+        # NaN compares false against everything, so without this check
+        # it would pass as "infeasible" (not finite) instead of failing.
+        if math.isnan(self.time) or self.time < 0:
+            raise CTGError(f"invalid execution time {self.time}")
         if self.energy < 0 or not math.isfinite(self.energy):
             raise CTGError(f"invalid execution energy {self.energy}")
 
@@ -72,7 +74,7 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise CTGError("task name must be non-empty")
-        if self.deadline <= 0:
+        if math.isnan(self.deadline) or self.deadline <= 0:
             raise CTGError(f"task {self.name!r}: deadline must be positive, got {self.deadline}")
         if not isinstance(self.costs, dict):
             self.costs = dict(self.costs)

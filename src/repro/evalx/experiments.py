@@ -29,8 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
-from repro.core.eas import EASConfig, eas_base_schedule
-from repro.core.repair import search_and_repair
+from repro.core.eas import eas_base_schedule
+from repro.core.repair import RepairReport, search_and_repair
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
@@ -87,16 +87,13 @@ def run_random_category(
     n_tasks: Optional[int] = None,
     schedulers: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    eas_config: Optional[EASConfig] = None,
     jobs: Optional[int] = None,
 ) -> List[ExperimentRow]:
     """The Sec. 6.1 experiment for one category of random benchmarks.
 
     Compares ``eas-base`` (no repair), ``eas`` (with repair) and ``edf``
-    on a 4x4 heterogeneous mesh, exactly the paper's setup.
-    ``eas_config`` overrides the EAS knobs (e.g. ``use_cache=False`` for
-    the ``--no-eval-cache`` A/B).  ``jobs`` > 1 fans the
-    (benchmark x scheduler) grid out over a process pool
+    on a 4x4 heterogeneous mesh, exactly the paper's setup.  ``jobs`` > 1
+    fans the (benchmark x scheduler) grid out over a process pool
     (``None``/``0`` defers to ``REPRO_JOBS``; 1 keeps the serial
     reference path); rows come back in grid order with identical
     contents either way.
@@ -115,7 +112,6 @@ def run_random_category(
                     acg_preset="mesh_4x4",
                     shuffle_seed=100 + index,
                 ),
-                eas_config=eas_config,
                 tag=f"cat{category}[{index}]:{name}",
             )
             for index in range(n_benchmarks)
@@ -130,7 +126,7 @@ def run_random_category(
     for index in range(n_benchmarks):
         ctg = generate_category(category, index, n_tasks=n_tasks)
         acg = mesh_4x4(shuffle_seed=100 + index)
-        row = _compare(ctg, acg, wanted, eas_config=eas_config)
+        row = _compare(ctg, acg, wanted)
         rows.append(row)
         if progress is not None:
             progress(f"cat{category} benchmark {index}: " + _row_brief(row))
@@ -233,7 +229,7 @@ def run_fig7(
         acg = mesh_3x3()
         ledger = obs.get().ledger
         for name in schedulers:
-            schedule = _run_scheduler(name, ctg, acg)
+            schedule = run_scheduler(name, ctg, acg)
             energy = schedule.total_energy()
             if schedule.deadline_misses():
                 energy = float("nan")
@@ -263,7 +259,7 @@ def run_repair_runtime(
     n_benchmarks: int = N_RANDOM_BENCHMARKS,
     n_tasks: Optional[int] = None,
     deadline_scale: float = 1.0,
-    use_incremental: bool = True,
+    repair: Optional[Callable[[Schedule], Tuple[Schedule, RepairReport]]] = None,
 ) -> List[ExperimentRow]:
     """Runtime overhead of search-and-repair on the miss-y benchmarks.
 
@@ -274,11 +270,11 @@ def run_repair_runtime(
     ``deadline_scale`` < 1 tightens every deadline by that factor — the
     guaranteed-miss preset knob (at the default scale whole suites can
     be schedulable, and this experiment silently produces no rows).
-    ``use_incremental`` selects the repair evaluation engine, so callers
-    can A/B the paper-literal and incremental paths on identical inputs.
+    ``repair`` replaces :func:`~repro.core.repair.search_and_repair` as
+    the Step-3 implementation timed, so callers can A/B it against the
+    paper-literal reference (``repro.core.reference.reference_repair``)
+    on identical inputs.
     """
-    from repro.core.repair import RepairConfig
-
     n_tasks = n_tasks if n_tasks is not None else default_n_tasks()
     rows: List[ExperimentRow] = []
     for index in range(n_benchmarks):
@@ -290,9 +286,7 @@ def run_repair_runtime(
         if not base.deadline_misses():
             continue
         with obs.timed_phase("repair_runtime.repair", ctg=ctg.name) as timing:
-            repaired, report = search_and_repair(
-                base, RepairConfig(use_incremental=use_incremental)
-            )
+            repaired, report = (repair or search_and_repair)(base)
         repair_seconds = timing.seconds
         rows.append(
             ExperimentRow(
@@ -349,12 +343,6 @@ def schedules_for_specs(
 
 
 # -- shared helpers -------------------------------------------------------------------
-
-
-def _run_scheduler(
-    name: str, ctg: CTG, acg: ACG, eas_config: Optional[EASConfig] = None
-) -> Schedule:
-    return run_scheduler(name, ctg, acg, eas_config)
 
 
 def _rows_from_results(
@@ -419,7 +407,6 @@ def _compare(
     acg: ACG,
     schedulers: Tuple[str, ...],
     benchmark_name: Optional[str] = None,
-    eas_config: Optional[EASConfig] = None,
 ) -> ExperimentRow:
     registry = obs.get().metrics
     energies: Dict[str, float] = {}
@@ -430,7 +417,7 @@ def _compare(
     ledger = obs.get().ledger
     for name in schedulers:
         before = registry.counter_values()
-        schedule = _run_scheduler(name, ctg, acg, eas_config=eas_config)
+        schedule = run_scheduler(name, ctg, acg)
         schedule.validate_structure()
         energies[name] = schedule.total_energy()
         misses[name] = len(schedule.deadline_misses())
@@ -474,8 +461,8 @@ def _headline_metrics(
 
     ``<scheduler>:evals`` sums every ``*.evaluations`` counter the run
     incremented; ``<scheduler>:moves`` sums accepted repair moves;
-    ``<scheduler>:hits`` is the evaluation-cache hit count (0 for the
-    naive path and non-EAS schedulers).
+    ``<scheduler>:hits`` is the evaluation-cache hit count (0 for
+    non-EAS schedulers).
     """
     delta = {key: after[key] - before.get(key, 0.0) for key in after}
     return {

@@ -18,9 +18,8 @@ four steps:
 2. **Salvage the tables** (:func:`_salvage_tables`).  The committed
    schedule's full resource tables are rebuilt, forked copy-on-write
    (:meth:`ResourceTables.fork`), and the rerun placements plus dropped
-   transactions are undone with the increbuild engine's idiom —
-   :meth:`ScheduleTable.truncate_from` when they form a resource's busy
-   tail, exact-match releases otherwise.  Transient fault windows are
+   transactions are undone (:meth:`ResourceTables.unreserve`, the
+   increbuild engine's undo).  Transient fault windows are
    then written in as pseudo-reservations on both directions of the
    affected channel, so nothing new is ever scheduled *through* an
    outage.
@@ -50,14 +49,12 @@ new work with the past.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.eas import EASConfig, LevelBasedScheduler
-from repro.core.rebuild import _commit, _eligible_tasks, _probe
+from repro.core.rebuild import rebuild_schedule
 from repro.core.repair import RepairConfig, RepairReport, search_and_repair
 from repro.core.slack import compute_budgets
 from repro.errors import (
@@ -68,7 +65,6 @@ from repro.errors import (
 )
 from repro.faults.degraded import DegradedACG
 from repro.faults.plan import FaultPlan
-from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
@@ -219,18 +215,17 @@ def _salvage_tables(
     salvaged: Set[str],
     kept: Set[Tuple[str, str]],
     plan: FaultPlan,
-    use_path_cache: bool = True,
 ) -> ResourceTables:
     """Resource tables holding exactly the salvaged past plus fault windows.
 
     Built increbuild-style: full committed tables, a copy-on-write
     :meth:`~repro.schedule.overlay.ResourceTables.fork`, then the rerun
-    placements and dropped transactions are undone — tail runs via
-    :meth:`~repro.schedule.table.ScheduleTable.truncate_from`, scattered
-    intervals via exact-match releases.  Transient outage windows are
-    reserved afterwards on both directions of each affected channel.
+    placements and dropped transactions are undone with
+    :meth:`~repro.schedule.overlay.ResourceTables.unreserve`.  Transient
+    outage windows are reserved afterwards on both directions of each
+    affected channel.
     """
-    full = ResourceTables(use_path_cache=use_path_cache)
+    full = ResourceTables()
     for placement in committed.task_placements.values():
         if placement.finish - placement.start > EPS:
             full.reserve(placement.pe, placement.start, placement.finish)
@@ -240,24 +235,10 @@ def _salvage_tables(
                 full.reserve(link, comm.start, comm.finish)
 
     tables = full.fork()
-    undo: Dict[Hashable, List[Tuple[float, float]]] = {}
-    for name, placement in committed.task_placements.items():
-        if name not in salvaged and placement.finish - placement.start > EPS:
-            undo.setdefault(placement.pe, []).append((placement.start, placement.finish))
-    for key, comm in committed.comm_placements.items():
-        if key not in kept and comm.finish - comm.start > EPS:
-            for link in comm.links:
-                undo.setdefault(link, []).append((comm.start, comm.finish))
-    for resource, intervals in undo.items():
-        intervals.sort()
-        busy = tables.busy_view(resource)
-        tail_at = bisect_left(busy, (intervals[0][0], -math.inf))
-        if list(busy[tail_at:]) == intervals:
-            tables.truncate_from(resource, intervals[0][0])
-        else:
-            for start, end in intervals:
-                tables.release(resource, start, end)
-
+    tables.unreserve(
+        (p for name, p in committed.task_placements.items() if name not in salvaged),
+        (c for key, c in committed.comm_placements.items() if key not in kept),
+    )
     for link, windows in plan.transient_windows().items():
         for start, end in _merged_windows(windows):
             tables.reserve(link, start, end)
@@ -265,88 +246,6 @@ def _salvage_tables(
 
 
 # -- recovery -------------------------------------------------------------------
-
-
-def _recovery_rebuild(
-    committed: Schedule,
-    degraded: DegradedACG,
-    salvaged: Set[str],
-    kept: Set[Tuple[str, str]],
-    base_tables: ResourceTables,
-    mapping: Dict[str, int],
-    orders: Dict[int, List[str]],
-    floor: float,
-) -> Optional[Schedule]:
-    """Deterministically rebuild a recovery schedule for (mapping, orders).
-
-    The repair loop's candidate evaluator: the salvaged prefix is
-    pre-committed verbatim, the rerun tasks are list-scheduled with the
-    same eligibility/probe/commit machinery as a normal rebuild, floored
-    at the fault time and routed over the degraded platform.  Returns
-    ``None`` for candidates that deadlock or hit a partition (rejected
-    moves), mirroring the healthy rebuild contract.
-    """
-    ctg = committed.ctg
-    schedule = Schedule(ctg, degraded, algorithm="recovery")
-    placements: Dict[str, TaskPlacement] = {}
-    for name in salvaged:
-        placement = committed.placement(name)
-        placements[name] = placement
-        schedule.place_task(placement)
-    for key in kept:
-        schedule.place_comm(committed.comm_placements[key])
-
-    tables = base_tables.fork()
-    rerun = [name for name in ctg.task_names() if name not in salvaged]
-    unplaced = set(rerun)
-    remaining_preds = {
-        name: sum(1 for pred in ctg.predecessors(name) if pred in unplaced)
-        for name in rerun
-    }
-    next_slot: Dict[int, int] = {}
-    rerun_orders: Dict[int, List[str]] = {}
-    for pe_index, order in orders.items():
-        tail = [name for name in order if name in unplaced]
-        rerun_orders[pe_index] = tail
-        next_slot[pe_index] = 0
-
-    try:
-        while unplaced:
-            eligible = _eligible_tasks(
-                ctg, mapping, rerun_orders, next_slot, remaining_preds, unplaced
-            )
-            if not eligible:
-                raise InfeasibleOrderError(
-                    f"recovery orders deadlock; {len(unplaced)} tasks stuck"
-                )
-            best: Optional[Tuple[float, float, str]] = None
-            for name in eligible:
-                start, finish = _probe(
-                    ctg, degraded, name, mapping[name], placements, tables, floor=floor
-                )
-                key = (start, finish, name)
-                if best is None or key < best:
-                    best = key
-            assert best is not None
-            chosen = best[2]
-            _commit(
-                ctg,
-                degraded,
-                chosen,
-                mapping[chosen],
-                placements,
-                tables,
-                schedule,
-                floor=floor,
-            )
-            unplaced.discard(chosen)
-            next_slot[mapping[chosen]] += 1
-            for succ in ctg.successors(chosen):
-                if succ in remaining_preds:
-                    remaining_preds[succ] -= 1
-    except (InfeasibleOrderError, UnroutableError):
-        return None
-    return schedule
 
 
 def inject_and_recover(
@@ -391,9 +290,7 @@ def inject_and_recover(
                 )
 
         salvaged_placements = {name: committed.placement(name) for name in salvaged}
-        base_tables = _salvage_tables(
-            committed, salvaged, kept, plan, use_path_cache=cfg.use_path_cache
-        )
+        base_tables = _salvage_tables(committed, salvaged, kept, plan)
 
         budgets = compute_budgets(
             ctg,
@@ -407,8 +304,6 @@ def inject_and_recover(
             budgets,
             algorithm_name="recovery",
             contention_aware=cfg.contention_aware,
-            use_cache=cfg.use_cache,
-            use_path_cache=cfg.use_path_cache,
             preplaced=salvaged_placements,
             tables=base_tables.fork(),
             floor=fault_time,
@@ -429,27 +324,29 @@ def inject_and_recover(
 
         repair_report: Optional[RepairReport] = None
         if cfg.repair and recovery.deadline_misses():
+            prefix = Schedule(ctg, degraded, algorithm="recovery")
+            for name in salvaged:
+                prefix.place_task(committed.placement(name))
+            for key in kept:
+                prefix.place_comm(committed.comm_placements[key])
 
             def rebuilder(
                 mapping: Dict[str, int], orders: Dict[int, List[str]]
             ) -> Optional[Schedule]:
-                return _recovery_rebuild(
-                    committed,
-                    degraded,
-                    salvaged,
-                    kept,
-                    base_tables,
-                    mapping,
-                    orders,
-                    fault_time,
-                )
+                # A normal rebuild over the degraded platform, continuing
+                # the salvaged prefix on a fork of the salvaged tables.
+                try:
+                    return rebuild_schedule(
+                        ctg, degraded, mapping, orders, algorithm="recovery",
+                        tables=base_tables.fork(), preplaced=prefix, floor=fault_time,
+                    )
+                except (InfeasibleOrderError, UnroutableError):
+                    return None  # deadlock or partition: a rejected move
 
             recovery, repair_report = search_and_repair(
                 recovery,
                 RepairConfig(
                     max_rounds=cfg.max_repair_rounds,
-                    use_incremental=False,
-                    use_path_cache=cfg.use_path_cache,
                     frozen=frozenset(salvaged),
                     rebuilder=rebuilder,
                 ),

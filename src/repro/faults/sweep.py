@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.eas import EASConfig
 from repro.faults.plan import FAULT_KINDS, FaultPlan, generate_fault_plans
 from repro.faults.recovery import UnsurvivableFaultError, inject_and_recover
 from repro.obs.ledger import make_record
@@ -43,7 +42,6 @@ class FaultRunSpec:
     scheduler: str
     plan_doc: Dict[str, Any]
     schedule_doc: Dict[str, Any]
-    eas_config: Optional[EASConfig] = None
     tag: str = ""
     ledger_run_id: Optional[str] = None
 
@@ -87,7 +85,7 @@ def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
         committed = schedule_from_dict(spec.schedule_doc, ctg, acg)
         plan = FaultPlan.from_dict(spec.plan_doc)
         try:
-            recovery = inject_and_recover(committed, plan, spec.eas_config)
+            recovery = inject_and_recover(committed, plan)
         except UnsurvivableFaultError as exc:
             result = FaultRunResult(
                 tag=spec.tag,
@@ -261,7 +259,6 @@ class FaultSweepReport:
 def run_fault_sweep(
     benchmark: BenchmarkSpec,
     scheduler: str = "eas",
-    eas_config: Optional[EASConfig] = None,
     n_plans: int = 20,
     seed: int = 0,
     kinds: Sequence[str] = FAULT_KINDS,
@@ -273,7 +270,7 @@ def run_fault_sweep(
     The committed schedule and every plan travel to workers as JSON-safe
     documents; results come back in plan order and their telemetry is
     folded in that order, so the report is a pure function of
-    ``(benchmark, scheduler, eas_config, n_plans, seed, kinds)`` —
+    ``(benchmark, scheduler, n_plans, seed, kinds)`` —
     independent of ``jobs``.
     """
     ins = obs.get()
@@ -284,7 +281,7 @@ def run_fault_sweep(
         "faults.sweep", n_plans=n_plans, seed=seed, scheduler=scheduler
     ):
         ctg, acg = benchmark.build()
-        committed = run_scheduler(scheduler, ctg, acg, eas_config)
+        committed = run_scheduler(scheduler, ctg, acg)
         committed.validate_structure()
         plans = generate_fault_plans(
             acg, n_plans, seed=seed, horizon=committed.makespan(), kinds=kinds
@@ -296,7 +293,6 @@ def run_fault_sweep(
                 scheduler=scheduler,
                 plan_doc=plan.to_dict(),
                 schedule_doc=schedule_doc,
-                eas_config=eas_config,
                 tag=plan.name,
                 ledger_run_id=ledger_run_id,
             )

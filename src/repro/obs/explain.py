@@ -22,10 +22,12 @@ Energy attribution reuses :mod:`repro.obs.utilization` so the per-task
 shares sum exactly to ``schedule.total_energy()``.
 
 :func:`verify_decision_components` is the trust anchor: it replays the
-commit sequence on fresh resource tables and recomputes every recorded
-candidate's F(i,k) components with the same Fig. 3 machinery the
-scheduler used — any divergence between captured and recomputed numbers
-(cache replay bugs, schema drift) comes back as a mismatch string.
+commit sequence through the Fig. 3 placement kernel on fresh
+paper-literal tables (:class:`~repro.core.reference.LiteralTables`,
+which share no cache with the run being checked) and recomputes every
+recorded candidate's F(i,k) components — any divergence between
+captured and recomputed numbers (cache replay bugs, schema drift) comes
+back as a mismatch string.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.comm import schedule_incoming_transactions
 from repro.obs.decisions import Candidate, TaskDecision
 from repro.obs.utilization import analyze_schedule, task_energy_attribution
-from repro.schedule.overlay import ResourceTables
 from repro.schedule.table import EPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -470,49 +470,44 @@ def verify_decision_components(
 ) -> List[str]:
     """Recompute every decision's F(i,k) components from scratch.
 
-    Replays the commit sequence on fresh resource tables (the naive,
-    cache-free reference path) and, *before* each commit, re-evaluates
-    the recorded candidates — chosen and beaten — with the same Fig. 3
-    machinery.  Returns one human-readable string per mismatching
-    component; an empty list certifies the captured breakdown exact.
+    Replays the commit sequence through the placement kernel on fresh
+    :class:`~repro.core.reference.LiteralTables` (the paper-literal
+    path, independent of every cache the scheduler used) and, *before*
+    each commit, re-evaluates the recorded candidates — chosen and
+    beaten — with the same Fig. 3 machinery.  Returns one human-readable
+    string per mismatching component; an empty list certifies the
+    captured breakdown exact.
     """
+    from repro.core.placement import commit, probe
+    from repro.core.reference import LiteralTables
     from repro.schedule.entries import TaskPlacement
 
     mismatches: List[str] = []
-    tables = ResourceTables()
+    tables = LiteralTables()
     placements: Dict[str, TaskPlacement] = {}
     for decision in decisions:
-        task = ctg.task(decision.task)
         recorded = list(decision.candidates)
         if decision.chosen is not None:
             recorded.append(decision.chosen)
+        probed = {}
         for candidate in recorded:
-            pe = acg.pe(candidate.pe)
-            cost = task.cost_on(pe.type_name)
-            if not cost.feasible:
+            evaluation = probe(
+                tables, ctg, acg, placements, decision.task, candidate.pe,
+                contention_aware=contention_aware,
+            )
+            if evaluation is None:
                 mismatches.append(
                     f"{decision.task}@PE{candidate.pe}: recorded an infeasible PE"
                 )
                 continue
-            overlay = tables.overlay()
-            drt, comms = schedule_incoming_transactions(
-                ctg,
-                acg,
-                decision.task,
-                candidate.pe,
-                placements,
-                overlay,
-                contention_aware=contention_aware,
-            )
-            start = overlay.find_earliest(candidate.pe, drt, cost.time)
-            overlay.drop()
-            comm_energy = sum(c.energy for c in comms)
+            probed[candidate.pe] = evaluation
+            comm_energy = sum(c.energy for c in evaluation.comms)
             expected = {
-                "start": start,
-                "drt": drt,
-                "finish": start + cost.time,
-                "energy": cost.energy + comm_energy,
-                "compute_energy": cost.energy,
+                "start": evaluation.start,
+                "drt": evaluation.drt,
+                "finish": evaluation.finish,
+                "energy": evaluation.energy,
+                "compute_energy": evaluation.compute_energy,
                 "comm_energy": comm_energy,
             }
             for key, value in expected.items():
@@ -524,35 +519,21 @@ def verify_decision_components(
                         f"{decision.task}@PE{candidate.pe}: {key} captured "
                         f"{captured!r} != recomputed {value!r}"
                     )
-            hops = sum(len(c.links) for c in comms)
+            hops = sum(len(c.links) for c in evaluation.comms)
             if candidate.hops is not None and candidate.hops != hops:
                 mismatches.append(
                     f"{decision.task}@PE{candidate.pe}: hops captured "
                     f"{candidate.hops} != recomputed {hops}"
                 )
         # Commit the chosen placement exactly as the scheduler did.
-        pe = acg.pe(decision.pe)
-        cost = task.cost_on(pe.type_name)
-        overlay = tables.overlay()
-        drt, comms = schedule_incoming_transactions(
-            ctg,
-            acg,
-            decision.task,
-            decision.pe,
-            placements,
-            overlay,
+        evaluation = probed.get(decision.pe) or probe(
+            tables, ctg, acg, placements, decision.task, decision.pe,
             contention_aware=contention_aware,
         )
-        start = overlay.find_earliest(decision.pe, drt, cost.time)
-        overlay.commit()
-        tables.reserve(decision.pe, start, start + cost.time)
-        placements[decision.task] = TaskPlacement(
-            task=decision.task,
-            pe=decision.pe,
-            start=start,
-            finish=start + cost.time,
-            energy=cost.energy,
-        )
+        if evaluation is None:
+            mismatches.append(f"{decision.task}: committed PE {decision.pe} is unusable")
+            break  # later decisions depend on this placement
+        start = commit(tables, placements, None, evaluation).start
         if abs(start - decision.start) > tolerance:
             mismatches.append(
                 f"{decision.task}: committed start {decision.start!r} != "

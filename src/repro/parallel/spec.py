@@ -3,8 +3,8 @@
 A worker process never receives live scheduler state.  It receives a
 *spec* — a picklable description of how to **construct** the run from
 explicit seeds (generator category/index, ACG preset name + shuffle
-seed, scheduler id, :class:`~repro.core.eas.EASConfig`) — builds the
-benchmark from scratch inside a fresh observability bundle, runs the
+seed, scheduler id) — builds the benchmark from scratch inside a fresh
+observability bundle, runs the
 scheduler, and ships back a :class:`RunResult`: the schedule summary
 numbers plus the worker's whole :class:`MetricsRegistry`, its tracer
 records and its decision provenance.  The parent folds those into its
@@ -31,7 +31,7 @@ from repro.obs.ledger import make_record
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4, mesh_5x5, mesh_6x6
 from repro.baselines.edf import edf_schedule
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.core.eas import eas_base_schedule, eas_schedule
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
@@ -58,14 +58,12 @@ MSB_SYSTEMS = {
 }
 
 
-def run_scheduler(
-    name: str, ctg: CTG, acg: ACG, eas_config: Optional[EASConfig] = None
-) -> Schedule:
+def run_scheduler(name: str, ctg: CTG, acg: ACG) -> Schedule:
     """The canonical scheduler dispatch shared by evalx and the pool."""
     if name == "eas":
-        return eas_schedule(ctg, acg, eas_config)
+        return eas_schedule(ctg, acg)
     if name == "eas-base":
-        return eas_base_schedule(ctg, acg, eas_config)
+        return eas_base_schedule(ctg, acg)
     if name == "edf":
         return edf_schedule(ctg, acg)
     raise ValueError(f"unknown scheduler {name!r}")
@@ -135,7 +133,6 @@ class RunSpec:
 
     scheduler: str
     benchmark: BenchmarkSpec
-    eas_config: Optional[EASConfig] = None
     #: ship tracer spans/events and decision provenance back (set by the
     #: dispatcher when the parent bundle records; costs pickling only).
     record: bool = False
@@ -201,7 +198,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     bundle = obs.Instrumentation.enabled() if spec.record else obs.Instrumentation.disabled()
     with obs.activate(bundle):
         ctg, acg = spec.benchmark.build()
-        schedule = run_scheduler(spec.scheduler, ctg, acg, spec.eas_config)
+        schedule = run_scheduler(spec.scheduler, ctg, acg)
         schedule.validate_structure()
         headline_counters = bundle.metrics.counter_values()
         report = analyze_schedule(schedule)

@@ -38,10 +38,12 @@ fed through merges — the work metric ``BENCH_commsched.json`` gates on).
 
 from __future__ import annotations
 
-from bisect import insort
+import math
+from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
 
-from repro.schedule.table import Interval, ScheduleTable, find_gap, merge_busy
+from repro.schedule.entries import CommPlacement, TaskPlacement
+from repro.schedule.table import EPS, Interval, ScheduleTable, find_gap, merge_busy
 
 #: shared read view of a resource that has no table yet.
 _EMPTY_BUSY: Tuple[Interval, ...] = ()
@@ -61,18 +63,16 @@ class ResourceTables:
     per candidate move, so a candidate that only perturbs a handful of
     resources pays for copying exactly those tables.
 
-    ``use_path_cache`` selects between the version-keyed path-table
-    cache plus horizon fast path (the default) and the literal
-    recompute-every-merge reference path (CLI ``--no-path-cache``).
-    Both produce bit-identical schedules; only runtime differs.
+    The paper-literal reference scheduler swaps in
+    :class:`repro.core.reference.LiteralTables`, whose probes re-merge
+    every route from scratch; both produce bit-identical schedules.
     """
 
-    def __init__(self, use_path_cache: bool = True) -> None:
+    def __init__(self) -> None:
         self._tables: Dict[Hashable, ScheduleTable] = {}
         #: resources whose table object is shared with a fork; mutate
         #: through :meth:`_mutable` only.
         self._shared: Set[Hashable] = set()
-        self.use_path_cache = use_path_cache
         #: route tuple -> (per-link version tuple, merged committed busy
         #: list).  Entries' lists are never mutated after insertion.
         self._path_cache: Dict[
@@ -165,6 +165,35 @@ class ResourceTables:
         """Bulk-drop the resource's reservations beginning at/after ``start``."""
         return self._mutable(resource).truncate_from(start)
 
+    def unreserve(
+        self, tasks: Iterable[TaskPlacement], comms: Iterable[CommPlacement]
+    ) -> None:
+        """Undo the reservations of committed task and transaction placements.
+
+        Where a resource's undone intervals are exactly the tail of its
+        busy list, one :meth:`truncate_from` drops them; otherwise each
+        is released by exact match.  Undo work is proportional to the
+        placements undone, not to the tables.
+        """
+        undo: Dict[Hashable, List[Interval]] = {}
+        for task in tasks:
+            if task.finish - task.start > EPS:
+                undo.setdefault(task.pe, []).append((task.start, task.finish))
+        for comm in comms:
+            if comm.finish - comm.start > EPS:
+                for link in comm.links:
+                    undo.setdefault(link, []).append((comm.start, comm.finish))
+        for resource, intervals in undo.items():
+            intervals.sort()
+            # Zero-copy read: compared, never mutated (the slice copies).
+            busy = self.busy_view(resource)
+            tail_at = bisect_left(busy, (intervals[0][0], -math.inf))
+            if list(busy[tail_at:]) == intervals:
+                self.truncate_from(resource, intervals[0][0])
+            else:
+                for start, end in intervals:
+                    self.release(resource, start, end)
+
     def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
         return self.table(resource).find_earliest(ready, duration)
 
@@ -194,10 +223,9 @@ class ResourceTables:
         copy preserves its version and every mutation bumps it — per
         lineage, versions are strictly monotone (see DESIGN.md).
         """
-        clone = ResourceTables.__new__(ResourceTables)
+        clone = type(self).__new__(type(self))
         clone._tables = {}
         clone._shared = set()
-        clone.use_path_cache = self.use_path_cache
         clone._path_cache = dict(self._path_cache)
         clone._path_hits = self._path_hits
         clone._path_misses = self._path_misses
@@ -251,7 +279,7 @@ class TentativeOverlay:
 
     def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
         self._probed.add(resource)
-        if self._base.use_path_cache and ready >= self._horizon(resource):
+        if ready >= self._horizon(resource):
             # Nothing visible ends after `ready`: find_gap would scan
             # past every interval and return `ready` unchanged.
             self._base._horizon_hits.inc()
@@ -264,21 +292,15 @@ class TentativeOverlay:
         """Earliest slot free on *all* path resources simultaneously.
 
         Implements Fig. 3: the path schedule table is the merge of the
-        occupied slots of the comprising links.  With the path cache on,
-        the committed part of that merge comes from
-        :meth:`ResourceTables.path_busy` and only the overlay's own
-        tentative intervals are merged per probe; a ready time at or
-        beyond every horizon skips the merge entirely.
+        occupied slots of the comprising links.  The committed part of
+        that merge comes from :meth:`ResourceTables.path_busy` and only
+        the overlay's own tentative intervals are merged per probe; a
+        ready time at or beyond every horizon skips the merge entirely.
         """
         if not resources:
             return ready
         self._probed.update(resources)
         base = self._base
-        if not base.use_path_cache:
-            # Literal reference path: re-merge every link from scratch.
-            views = [self._combined(r) for r in resources]
-            base._merge_work.inc(sum(len(view) for view in views))
-            return find_gap(merge_busy(views), ready, duration)
         horizon = 0.0
         for resource in resources:
             h = self._horizon(resource)

@@ -195,17 +195,20 @@ class TestDriver:
 
 class TestEvaluationCache:
     def test_naive_and_cached_agree(self, diamond_ctg):
-        cached = eas_schedule(diamond_ctg, acg4(), EASConfig(use_cache=True))
-        naive = eas_schedule(diamond_ctg, acg4(), EASConfig(use_cache=False))
+        from repro.core.reference import reference_eas_schedule
+
+        cached = eas_schedule(diamond_ctg, acg4())
+        naive = reference_eas_schedule(diamond_ctg, acg4())
         assert cached.task_placements == naive.task_placements
         assert cached.comm_placements == naive.comm_placements
 
     def test_naive_path_never_touches_cache(self, diamond_ctg):
         from repro import obs
+        from repro.core.reference import reference_eas_schedule
 
         ins = obs.Instrumentation.enabled()
         with obs.activate(ins):
-            eas_base_schedule(diamond_ctg, acg4(), EASConfig(use_cache=False))
+            reference_eas_schedule(diamond_ctg, acg4(), EASConfig(repair=False))
         assert ins.metrics.counter("eas.cache_hits").value == 0
         assert ins.metrics.counter("eas.cache_invalidations").value == 0
         assert ins.metrics.counter("eas.evaluations").value > 0

@@ -7,7 +7,7 @@ import pytest
 from repro.ctg.generator import GeneratorConfig, generate_ctg
 from repro.ctg.multimedia import av_encoder_ctg
 from repro.ctg.serialization import ctg_from_dict, ctg_from_json, ctg_to_dict, ctg_to_json
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
 
 
 class TestRoundTrip:
@@ -69,3 +69,33 @@ class TestErrors:
         }
         with pytest.raises(SerializationError):
             ctg_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "task_json, match",
+        [
+            ('{"name": "a", "costs": {"cpu": {"time": NaN, "energy": 1.0}}}',
+             r"task 'a': costs\['cpu'\]: invalid execution time nan"),
+            ('{"name": "a", "costs": {"cpu": {"time": 1.0, "energy": 1.0}}, "deadline": NaN}',
+             r"task 'a': deadline must be positive, got nan"),
+        ],
+        ids=["time", "deadline"],
+    )
+    def test_nan_rejected_naming_task_and_field(self, task_json, match):
+        # Python's json module accepts the NaN token; the loader must not
+        # let it pass as "infeasible on this PE" or "no deadline".
+        text = (
+            '{"format": "repro-ctg", "version": 1, "name": "x", '
+            f'"tasks": [{task_json}], "edges": []}}'
+        )
+        with pytest.raises(ReproError, match=match):
+            ctg_from_json(text)
+
+    def test_infinite_time_still_marks_infeasible(self):
+        text = (
+            '{"format": "repro-ctg", "version": 1, "name": "x", "tasks": [{"name": "a", '
+            '"costs": {"cpu": {"time": Infinity, "energy": 0.0}, '
+            '"dsp": {"time": 2.0, "energy": 1.0}}}], "edges": []}'
+        )
+        task = ctg_from_json(text).task("a")
+        assert not task.cost_on("cpu").feasible
+        assert task.cost_on("dsp").feasible

@@ -1,8 +1,8 @@
 """Randomized equivalence harness for the incremental F(i,k) cache.
 
 The incremental evaluation engine must be *observationally invisible*:
-for any input, the cached scheduler and the naive reference
-(``use_cache=False``) must emit byte-identical schedules — same task
+for any input, the cached scheduler and the paper-literal reference
+(``reference_eas_schedule``) must emit byte-identical schedules — same task
 placements, same communication placements, same energy, same deadline
 misses, same decision provenance.  The corpus below sweeps a seeded
 ``ctg/generator`` family across deadline tightness (category I and II),
@@ -17,7 +17,9 @@ from typing import List, Tuple
 
 from repro import obs
 from repro.arch.presets import hetero_mesh
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.core.eas import EASConfig, LevelBasedScheduler, eas_base_schedule, eas_schedule
+from repro.core.reference import LiteralTables, reference_eas_schedule, reference_level_schedule
+from repro.core.slack import compute_budgets
 from repro.ctg.generator import generate_category
 
 #: Platform type cycles covering 2–6 PE-type entries (2–4 distinct
@@ -53,11 +55,10 @@ def _corpus():
         yield ctg, acg
 
 
-def _run(ctg, acg, use_cache: bool):
+def _run(ctg, acg, scheduler=eas_schedule):
     ins = obs.Instrumentation.enabled()
-    config = EASConfig(use_cache=use_cache)
     with obs.activate(ins):
-        schedule = eas_schedule(ctg, acg, config)
+        schedule = scheduler(ctg, acg)
     return schedule, ins
 
 
@@ -75,8 +76,8 @@ class TestEquivalenceCorpus:
         repairs = 0
         hits = 0.0
         for ctg, acg in _corpus():
-            naive, naive_ins = _run(ctg, acg, use_cache=False)
-            cached, cached_ins = _run(ctg, acg, use_cache=True)
+            naive, naive_ins = _run(ctg, acg, reference_eas_schedule)
+            cached, cached_ins = _run(ctg, acg)
             _assert_identical(naive, cached, ctg.name)
             # The naive path must never touch the cache counters.
             assert naive_ins.metrics.counter("eas.cache_hits").value == 0
@@ -96,7 +97,7 @@ class TestEquivalenceCorpus:
         for i, (ctg, acg) in enumerate(_corpus()):
             if i % 6:
                 continue  # spot-check: full validation is O(n^2)-ish
-            cached, _ = _run(ctg, acg, use_cache=True)
+            cached, _ = _run(ctg, acg)
             cached.validate()
 
 
@@ -104,8 +105,8 @@ class TestCacheEffectiveness:
     def test_cache_cuts_full_evaluations(self):
         ctg = generate_category(1, 5, n_tasks=80)
         acg = hetero_mesh(4, 4, shuffle_seed=105)
-        naive, naive_ins = _run(ctg, acg, use_cache=False)
-        cached, cached_ins = _run(ctg, acg, use_cache=True)
+        naive, naive_ins = _run(ctg, acg, reference_eas_schedule)
+        cached, cached_ins = _run(ctg, acg)
         _assert_identical(naive, cached, ctg.name)
         naive_evals = naive_ins.metrics.counter("eas.evaluations").value
         cached_evals = cached_ins.metrics.counter("eas.evaluations").value
@@ -118,53 +119,27 @@ class TestCacheEffectiveness:
         # invalidation must still be sound.
         ctg = generate_category(2, 7, n_tasks=40)
         acg = hetero_mesh(3, 3, shuffle_seed=207)
-        naive = eas_schedule(ctg, acg, EASConfig(use_cache=False, contention_aware=False))
-        cached = eas_schedule(ctg, acg, EASConfig(use_cache=True, contention_aware=False))
+        naive = reference_eas_schedule(ctg, acg, EASConfig(contention_aware=False))
+        cached = eas_schedule(ctg, acg, EASConfig(contention_aware=False))
         assert cached.task_placements == naive.task_placements
         assert cached.comm_placements == naive.comm_placements
-
-    def test_cli_no_eval_cache_flag(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "schedule",
-                    "--system",
-                    "random",
-                    "--n-tasks",
-                    "20",
-                    "--no-eval-cache",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
 
 
 class TestPathCacheEquivalence:
     """The path-table cache must be observationally invisible too.
 
     Same contract as the F(i,k) cache above: over the whole corpus,
-    scheduling with the version-keyed path cache (default) and with the
-    literal re-merge-per-probe reference path (``use_path_cache=False``)
-    must be bit-identical in every output.
+    scheduling with the version-keyed path cache (production) and with
+    the literal re-merge-per-probe reference must be bit-identical in
+    every output.
     """
 
     def test_cached_and_literal_schedules_identical(self):
-        def run(ctg, acg, use_path_cache):
-            ins = obs.Instrumentation.enabled()
-            with obs.activate(ins):
-                schedule = eas_schedule(
-                    ctg, acg, EASConfig(use_path_cache=use_path_cache)
-                )
-            return schedule, ins
-
         hits = 0.0
         horizon = 0.0
         for ctg, acg in _corpus():
-            literal, literal_ins = run(ctg, acg, use_path_cache=False)
-            cached, cached_ins = run(ctg, acg, use_path_cache=True)
+            literal, literal_ins = _run(ctg, acg, reference_eas_schedule)
+            cached, cached_ins = _run(ctg, acg)
             _assert_identical(literal, cached, ctg.name)
             # The literal path must never touch the cache counters.
             assert literal_ins.metrics.counter("comm.path_cache_hits").value == 0
@@ -180,40 +155,13 @@ class TestPathCacheEquivalence:
         assert horizon > 0, "corpus never took the horizon fast path"
 
     def test_both_caches_off_still_identical(self):
-        # The two caches compose: all four on/off combinations must agree.
+        # The two caches compose: Step 2 with both on, with only the
+        # evaluation cache on, and with both off must agree.
         ctg = generate_category(2, 3, n_tasks=40)
         acg = hetero_mesh(3, 3, shuffle_seed=203)
-        reference = None
-        for use_cache in (False, True):
-            for use_path_cache in (False, True):
-                schedule = eas_schedule(
-                    ctg,
-                    acg,
-                    EASConfig(use_cache=use_cache, use_path_cache=use_path_cache),
-                )
-                if reference is None:
-                    reference = schedule
-                else:
-                    _assert_identical(
-                        reference,
-                        schedule,
-                        f"cache={use_cache} pathcache={use_path_cache}",
-                    )
-
-    def test_cli_no_path_cache_flag(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "schedule",
-                    "--system",
-                    "random",
-                    "--n-tasks",
-                    "20",
-                    "--no-path-cache",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
+        budgets = compute_budgets(ctg, acg)
+        both_on = LevelBasedScheduler(ctg, acg, budgets).run()
+        eval_cache_only = LevelBasedScheduler(ctg, acg, budgets, tables=LiteralTables()).run()
+        both_off = reference_level_schedule(ctg, acg, budgets)
+        _assert_identical(both_off, both_on, "cache=on pathcache=on")
+        _assert_identical(both_off, eval_cache_only, "cache=on pathcache=off")

@@ -8,11 +8,13 @@ loops with ``RepairConfig.selfcheck`` on, which cross-checks **every
 single evaluation** against a from-scratch rebuild byte-compared through
 serialization v2 (and every early abort against the full candidate
 metric), then additionally asserts the end-to-end results of the
-incremental and paper-literal modes are bit-identical — same schedule
-bytes, same accepted-move sequence, same ``RepairReport`` counters.
+incremental engine and the paper-literal reference repair
+(``reference_repair``) are bit-identical — same schedule bytes, same
+accepted-move sequence, same ``RepairReport`` counters.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +24,9 @@ from repro.arch.topology import Mesh2D
 from repro.core.eas import EASConfig, eas_schedule
 from repro.core.increbuild import IncrementalRebuilder, _schedule_metric
 from repro.core.rebuild import rebuild_schedule
+from repro.core.reference import reference_eas_schedule, reference_repair
 from repro.core.repair import RepairConfig, search_and_repair
+from repro.errors import InfeasibleOrderError
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.schedule.serialization import schedule_to_json
@@ -43,26 +47,26 @@ def tightened(category: int, index: int, n_tasks: int = 24, factor: float = 0.55
 class TestEquivalenceCorpus:
     """Randomized 20+ graph harness: every probed move is cross-checked."""
 
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("production_base", [True, False])
     @pytest.mark.parametrize("seed", [None, 20240915])
-    def test_full_repair_selfchecked(self, use_cache, seed):
+    def test_full_repair_selfchecked(self, production_base, seed):
         """Every evaluation during repair matches a full rebuild.
 
         ``selfcheck=True`` makes the engine byte-compare each evaluated
         candidate (and verify each abort) inline, so a single repair run
-        checks hundreds of moves.  Parametrized over the Step-2 eval
-        cache and the jitter seed so both RNG disciplines and both base
-        schedule paths are exercised.
+        checks hundreds of moves.  Parametrized over the Step-2 path
+        (production or reference) and the jitter seed so both RNG
+        disciplines and both base schedule paths are exercised.
         """
         acg = mesh3x3()
         checked_misses = 0
+        level = eas_schedule if production_base else reference_eas_schedule
         for index in range(3):
             ctg = tightened(2, index)
-            base = eas_schedule(ctg, acg, EASConfig(repair=False, use_cache=use_cache))
+            base = level(ctg, acg, EASConfig(repair=False))
             checked_misses += len(base.deadline_misses())
             cfg = RepairConfig(
                 seed=seed,
-                use_incremental=True,
                 selfcheck=True,
                 max_rounds=4,
                 max_migrations_per_round=64,
@@ -72,7 +76,7 @@ class TestEquivalenceCorpus:
         assert checked_misses > 0, "corpus too easy: nothing exercised repair"
 
     def test_modes_bit_identical_across_corpus(self):
-        """Incremental and paper-literal repair agree bit-for-bit.
+        """Incremental and reference repair agree bit-for-bit.
 
         Same schedule serialization, same RepairReport (which encodes
         the accepted/tried move sequence counts) on 20 random graphs
@@ -85,15 +89,9 @@ class TestEquivalenceCorpus:
                 ctg = tightened(category, index, factor=0.5)
                 base = eas_schedule(ctg, acg, EASConfig(repair=False))
                 outcomes = {}
-                for mode in (False, True):
-                    repaired, report = search_and_repair(
-                        base,
-                        RepairConfig(
-                            use_incremental=mode,
-                            max_rounds=4,
-                            max_migrations_per_round=48,
-                        ),
-                    )
+                cfg = RepairConfig(max_rounds=4, max_migrations_per_round=48)
+                for mode, repair in ((False, reference_repair), (True, search_and_repair)):
+                    repaired, report = repair(base, cfg)
                     outcomes[mode] = (schedule_to_json(repaired), repr(report))
                 assert outcomes[False][0] == outcomes[True][0], (
                     f"cat{category}-{index}: schedules diverge between modes"
@@ -106,33 +104,36 @@ class TestEquivalenceCorpus:
         assert exercised >= 5, "corpus too easy: repair barely ran"
 
     def test_path_cache_matrix_bit_identical(self):
-        """All four (incremental × path cache) combinations agree.
+        """Every (incremental, path cache) combination agrees.
 
-        The path-table cache threads through both repair engines
-        (incremental replays and literal full rebuilds); a soundness bug
-        in either combination shows up as a serialization diff here.
+        The path-table cache threads through both repair evaluators
+        (incremental replays and full rebuilds, the latter plugged in
+        through ``RepairConfig.rebuilder``); a soundness bug in any
+        combination shows up as a serialization diff against the
+        literal/literal reference.
         """
         acg = mesh3x3()
         exercised = 0
+        cfg = RepairConfig(max_rounds=3, max_migrations_per_round=48)
         for category, index in [(1, 2), (1, 7), (2, 1), (2, 6)]:
             ctg = tightened(category, index, factor=0.5)
             base = eas_schedule(ctg, acg, EASConfig(repair=False))
-            outcomes = {}
-            for use_incremental in (False, True):
-                for use_path_cache in (False, True):
-                    repaired, report = search_and_repair(
-                        base,
-                        RepairConfig(
-                            use_incremental=use_incremental,
-                            use_path_cache=use_path_cache,
-                            max_rounds=3,
-                            max_migrations_per_round=48,
-                        ),
-                    )
-                    outcomes[(use_incremental, use_path_cache)] = (
-                        schedule_to_json(repaired),
-                        repr(report),
-                    )
+
+            def full_rebuild(mapping, orders):
+                try:
+                    return rebuild_schedule(ctg, acg, mapping, orders, algorithm=base.algorithm)
+                except InfeasibleOrderError:
+                    return None
+
+            runs = {
+                (False, False): reference_repair(base, cfg),
+                (False, True): search_and_repair(base, replace(cfg, rebuilder=full_rebuild)),
+                (True, True): search_and_repair(base, cfg),
+            }
+            outcomes = {
+                combo: (schedule_to_json(repaired), repr(report))
+                for combo, (repaired, report) in runs.items()
+            }
             reference = outcomes[(False, False)]
             for combo, outcome in outcomes.items():
                 assert outcome == reference, (
@@ -257,13 +258,14 @@ class TestEngineBehaviour:
         Whatever moves get probed, the final schedule must be structurally
         valid and its per-PE orders must partition exactly the task set —
         i.e. a rejected InfeasibleOrderError never leaks half-applied
-        orders into the loop state.  Runs in both modes.
+        orders into the loop state.  Runs for both the reference and the
+        incremental engine.
         """
         acg = mesh3x3()
         ctg = tightened(2, 1, factor=0.5)
         base = eas_schedule(ctg, acg, EASConfig(repair=False))
-        for mode in (False, True):
-            repaired, _report = search_and_repair(base, RepairConfig(use_incremental=mode))
+        for repair in (reference_repair, search_and_repair):
+            repaired, _report = repair(base)
             repaired.validate_structure()
             listed = sorted(
                 name for names in repaired.pe_order().values() for name in names
@@ -279,16 +281,11 @@ class TestReportParity:
         base = eas_schedule(ctg, acg, EASConfig(repair=False))
         reports = {}
         skips = {}
-        for mode in (False, True):
+        for mode, repair in ((False, reference_repair), (True, search_and_repair)):
             bundle = obs.Instrumentation.disabled()
             with obs.activate(bundle):
-                _repaired, report = search_and_repair(
-                    base,
-                    RepairConfig(
-                        use_incremental=mode,
-                        max_rounds=3,
-                        max_migrations_per_round=48,
-                    ),
+                _repaired, report = repair(
+                    base, RepairConfig(max_rounds=3, max_migrations_per_round=48)
                 )
             reports[mode] = (
                 report.swaps_tried,
@@ -298,4 +295,4 @@ class TestReportParity:
             )
             skips[mode] = bundle.metrics.counter("repair.memo_skips").value
         assert reports[False] == reports[True]
-        assert skips[False] == 0  # full mode never consults the memo
+        assert skips[False] == 0  # the reference never consults the memo

@@ -16,6 +16,7 @@ from repro import obs
 from repro.arch.presets import mesh_3x3, mesh_4x4
 from repro.baselines.edf import edf_schedule
 from repro.core.eas import EASConfig, eas_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
 from repro.obs.diff import (
     DIFF_SCHEMA_VERSION,
@@ -51,8 +52,8 @@ class TestExactAttribution:
     def test_identical_schedules_diff_empty(self):
         ctg = generate_category(1, 0, n_tasks=25)
         acg = mesh_3x3()
-        a = eas_schedule(ctg, acg, EASConfig(use_cache=True))
-        b = eas_schedule(ctg, acg, EASConfig(use_cache=False))
+        a = eas_schedule(ctg, acg)
+        b = reference_eas_schedule(ctg, acg)
         diff = diff_schedules(a, b)
         assert diff.moves == []
         assert diff.energy_by_task == {}
@@ -130,7 +131,6 @@ class TestDeterminism:
                     kind="random", category=2, index=1, n_tasks=30,
                     acg_preset="mesh_3x3", shuffle_seed=101,
                 ),
-                eas_config=EASConfig(),
                 tag="a",
             ),
             RunSpec(
@@ -195,3 +195,43 @@ class TestRenderers:
             [],
         )
         assert delta.phase_walls["only-a"] == [1.0, None]
+
+
+class TestLedgerEndpoints:
+    def test_retired_switch_params_still_resolve(self, tmp_path, capsys):
+        """``run:<id>`` endpoints from older ledgers still resolve.
+
+        Before the literal-path switches were removed, ``run_started``
+        params carried ``no_eval_cache`` / ``no_path_cache`` /
+        ``no_incremental_repair`` (and an ``eas_config``).  The switches
+        never changed a schedule, so the endpoint ignores them.
+        """
+        from repro.cli import main
+        from repro.obs.ledger import make_record
+
+        params = {
+            "algorithm": "eas",
+            "system": "encoder",
+            "clip": "akiyo",
+            "no_eval_cache": True,
+            "no_path_cache": True,
+            "no_incremental_repair": True,
+            "eas_config": {
+                "use_cache": False,
+                "use_incremental_repair": False,
+                "use_path_cache": False,
+            },
+        }
+        ledger = tmp_path / "RUN_LEDGER.jsonl"
+        record = make_record("run_started", "old-run", command="schedule", params=params)
+        ledger.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "diff.json"
+        argv = [
+            "diff", "run:old-run", "algorithm=eas",
+            "--system", "encoder", "--clip", "akiyo",
+            "--ledger", str(ledger), "--format", "json", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        document = json.loads(out.read_text())
+        assert document["moves"] == []
+        assert document["energy_delta"] == 0.0

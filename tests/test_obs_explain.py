@@ -15,7 +15,8 @@ import pytest
 
 from repro import obs
 from repro.arch.presets import hetero_mesh, mesh_3x3
-from repro.core.eas import EASConfig, eas_schedule
+from repro.core.eas import eas_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
 from repro.obs.explain import (
     EXPLAIN_SCHEMA_VERSION,
@@ -32,10 +33,10 @@ from .test_eval_cache import _corpus
 N_VERIFY_GRAPHS = 22
 
 
-def _schedule(ctg, acg, use_cache=True):
+def _schedule(ctg, acg, scheduler=eas_schedule):
     ins = obs.Instrumentation.enabled()
     with obs.activate(ins):
-        return eas_schedule(ctg, acg, EASConfig(use_cache=use_cache))
+        return scheduler(ctg, acg)
 
 
 class TestVerifyDecisionComponents:
@@ -47,11 +48,13 @@ class TestVerifyDecisionComponents:
             if graphs >= N_VERIFY_GRAPHS:
                 break
             graphs += 1
-            for use_cache in (True, False):
-                schedule = _schedule(ctg, acg, use_cache=use_cache)
+            for scheduler in (eas_schedule, reference_eas_schedule):
+                schedule = _schedule(ctg, acg, scheduler)
                 assert schedule.provenance, ctg.name
                 mismatches = verify_decision_components(ctg, acg, schedule.provenance)
-                assert mismatches == [], f"{ctg.name} cache={use_cache}: {mismatches[:3]}"
+                assert mismatches == [], (
+                    f"{ctg.name} {scheduler.__name__}: {mismatches[:3]}"
+                )
                 decisions += len(schedule.provenance)
         assert graphs >= 20
         assert decisions > 0

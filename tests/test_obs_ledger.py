@@ -316,7 +316,6 @@ class TestCliIntegration:
         assert started["command"] == "schedule"
         assert started["params"]["system"] == "encoder"
         assert started["params"]["clip"] == "akiyo"
-        assert started["params"]["eas_config"]["use_cache"] is True
         finished = records[-1]
         assert finished["status"] == 0
         assert finished["wall_seconds"] > 0

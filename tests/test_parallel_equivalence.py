@@ -9,7 +9,7 @@ reproduces ``jobs=1`` exactly.
 
 import random
 
-from repro.core.eas import EASConfig, eas_base_schedule
+from repro.core.eas import eas_base_schedule
 from repro.core.repair import multistart_search_and_repair, search_and_repair
 from repro.evalx.experiments import run_fig5, run_msb_table
 from repro.evalx.reporting import format_table
@@ -105,15 +105,3 @@ class TestMultistartRepair:
         repaired, report = search_and_repair(base, RepairConfig(seed=7))
         assert len(repaired.deadline_misses()) <= len(base.deadline_misses())
         assert report.rounds >= 1
-
-    def test_eval_config_roundtrip_through_pool(self):
-        """--no-eval-cache travels with the spec into the workers."""
-        serial = run_fig5(
-            n_benchmarks=1, n_tasks=25, jobs=1, eas_config=EASConfig(use_cache=False)
-        )
-        pooled = run_fig5(
-            n_benchmarks=1, n_tasks=25, jobs=2, eas_config=EASConfig(use_cache=False)
-        )
-        assert _strip_runtimes(serial) == _strip_runtimes(pooled)
-        assert serial[0].metrics["eas:hits"] == 0
-        assert pooled[0].metrics["eas:hits"] == 0

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro import obs
-from repro.core.eas import EASConfig
 from repro.parallel.pool import JOBS_ENV_VAR, parallel_map, pool_map, resolve_jobs
 from repro.parallel.spec import (
     ACG_PRESETS,
@@ -79,7 +78,6 @@ class TestBenchmarkSpec:
         spec = RunSpec(
             scheduler="eas",
             benchmark=BenchmarkSpec(kind="random", index=1, n_tasks=20),
-            eas_config=EASConfig(use_cache=False),
             tag="cell",
         )
         clone = pickle.loads(pickle.dumps(spec))

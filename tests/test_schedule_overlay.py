@@ -202,11 +202,11 @@ class TestFork:
         assert second.busy(0) == [(0, 1), (2, 3)]
 
 
-def _fresh(use_path_cache=True):
+def _fresh(tables_type=ResourceTables):
     """(bundle, tables) with an isolated counter registry."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
-        tables = ResourceTables(use_path_cache=use_path_cache)
+        tables = tables_type()
     return bundle, tables
 
 
@@ -305,8 +305,10 @@ class TestPathCache:
         assert tables.overlay().find_earliest_on_path([a], 0, 5) == 10
 
     def test_literal_mode_matches_cached_mode(self):
-        _b1, cached = _fresh(use_path_cache=True)
-        b2, literal = _fresh(use_path_cache=False)
+        from repro.core.reference import LiteralTables
+
+        _b1, cached = _fresh()
+        b2, literal = _fresh(LiteralTables)
         a, b = Link((0, 0), (0, 1)), Link((0, 1), (0, 2))
         for tables in (cached, literal):
             tables.reserve(a, 0, 10)
@@ -322,6 +324,8 @@ class TestPathCache:
         assert _count(b2, "comm.path_cache_hits") == 0
         assert _count(b2, "comm.path_cache_misses") == 0
         assert _count(b2, "comm.horizon_fast_path") == 0
+        # Forks of literal tables stay literal.
+        assert isinstance(literal.fork(), LiteralTables)
 
     def test_busy_is_defensive_copy(self):
         _bundle, tables = _fresh()
