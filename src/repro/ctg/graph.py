@@ -1,19 +1,43 @@
 """The Communication Task Graph container.
 
-:class:`CTG` wraps a :class:`networkx.DiGraph` with the task/edge records
-from :mod:`repro.ctg.task`, enforces acyclicity, and offers the query
-surface the schedulers need (predecessors, successors, topological order,
-in/out edges with volumes).
+:class:`CTG` holds the task/edge records from :mod:`repro.ctg.task` in
+insertion-ordered successor and predecessor lists, enforces acyclicity,
+and offers the query surface the schedulers need (predecessors,
+successors, topological order, in/out edges with volumes).
+
+Acyclicity is checked per edge: ``add_edge(src, dst)`` is rejected when
+``src`` is reachable from ``dst``.  Generators and loaders add edges into
+tasks that have no successors yet, so the search is O(1) there and a
+whole graph builds in linear time.
+
+Every list this class returns follows insertion order, never hash order.
+:meth:`CTG.predecessors` and :meth:`CTG.successors` follow edge insertion
+order.  :meth:`CTG.topological_order` is Kahn's algorithm by generations:
+generation 0 is the sources in task insertion order, and each task
+releases its children in edge insertion order.  Schedules iterate this
+order, so it is part of the output contract;
+``tests/test_ctg_graph_oracle.py`` pins it against a reference graph
+library.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.ctg.task import CommEdge, Task
 from repro.errors import CTGError
+
+
+def _reachable(name: str, adjacency: Dict[str, List[str]]) -> Set[str]:
+    """Tasks reachable from ``name`` (excluded) over ``adjacency``."""
+    found: Set[str] = set()
+    frontier = [name]
+    for node in frontier:  # breadth-first: the queue grows while iterated
+        for nxt in adjacency[node]:
+            if nxt not in found:
+                found.add(nxt)
+                frontier.append(nxt)
+    return found
 
 
 class CTG:
@@ -21,7 +45,8 @@ class CTG:
 
     def __init__(self, name: str = "ctg") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        self._succ: Dict[str, List[str]] = {}
+        self._pred: Dict[str, List[str]] = {}
         self._tasks: Dict[str, Task] = {}
         self._edges: Dict[Tuple[str, str], CommEdge] = {}
         self._topo_cache: Optional[List[str]] = None
@@ -32,7 +57,8 @@ class CTG:
         if task.name in self._tasks:
             raise CTGError(f"duplicate task {task.name!r}")
         self._tasks[task.name] = task
-        self._graph.add_node(task.name)
+        self._succ[task.name] = []
+        self._pred[task.name] = []
         self._invalidate()
         return task
 
@@ -43,10 +69,11 @@ class CTG:
         key = (edge.src, edge.dst)
         if key in self._edges:
             raise CTGError(f"duplicate edge {edge.src}->{edge.dst}")
-        self._graph.add_edge(edge.src, edge.dst)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(edge.src, edge.dst)
+        # Self-loops never get here: CommEdge rejects them on construction.
+        if edge.src in _reachable(edge.dst, self._succ):
             raise CTGError(f"edge {edge.src}->{edge.dst} would create a cycle")
+        self._succ[edge.src].append(edge.dst)
+        self._pred[edge.dst].append(edge.src)
         self._edges[key] = edge
         self._invalidate()
         return edge
@@ -102,31 +129,31 @@ class CTG:
         return (src, dst) in self._edges
 
     def predecessors(self, name: str) -> List[str]:
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> List[str]:
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     def in_edges(self, name: str) -> List[CommEdge]:
         """Incoming arcs of ``name`` — its receiving transactions (LCT)."""
-        return [self._edges[(p, name)] for p in self._graph.predecessors(name)]
+        return [self._edges[(p, name)] for p in self._pred[name]]
 
     def out_edges(self, name: str) -> List[CommEdge]:
-        return [self._edges[(name, s)] for s in self._graph.successors(name)]
+        return [self._edges[(name, s)] for s in self._succ[name]]
 
     def in_degree(self, name: str) -> int:
-        return self._graph.in_degree(name)
+        return len(self._pred[name])
 
     def out_degree(self, name: str) -> int:
-        return self._graph.out_degree(name)
+        return len(self._succ[name])
 
     def sources(self) -> List[str]:
         """Tasks with no predecessors (application entry points)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [n for n, preds in self._pred.items() if not preds]
 
     def sinks(self) -> List[str]:
         """Tasks with no successors."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [n for n, succs in self._succ.items() if not succs]
 
     def deadline_tasks(self) -> List[str]:
         """Tasks with a designer-specified (finite) deadline."""
@@ -135,20 +162,23 @@ class CTG:
     # -- orders and reachability --------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """A cached topological order of all tasks."""
+        """A cached topological order of all tasks (Kahn, by generations)."""
         if self._topo_cache is None:
-            self._topo_cache = list(nx.topological_sort(self._graph))
+            pending = {n: len(preds) for n, preds in self._pred.items()}
+            order = [n for n, count in pending.items() if count == 0]
+            for name in order:  # appending while iterating releases generations in turn
+                for child in self._succ[name]:
+                    pending[child] -= 1
+                    if pending[child] == 0:
+                        order.append(child)
+            self._topo_cache = order
         return list(self._topo_cache)
 
-    def ancestors(self, name: str) -> set:
-        return nx.ancestors(self._graph, name)
+    def ancestors(self, name: str) -> Set[str]:
+        return _reachable(name, self._pred)
 
-    def descendants(self, name: str) -> set:
-        return nx.descendants(self._graph, name)
-
-    def subgraph_view(self) -> nx.DiGraph:
-        """Read-only view of the underlying dependency structure."""
-        return self._graph.copy(as_view=True)
+    def descendants(self, name: str) -> Set[str]:
+        return _reachable(name, self._succ)
 
     # -- aggregate properties ----------------------------------------------
 

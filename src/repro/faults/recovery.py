@@ -289,7 +289,14 @@ def inject_and_recover(
                     f"plan {plan.name!r}: task {name!r} has no surviving feasible PE"
                 )
 
-        salvaged_placements = {name: committed.placement(name) for name in salvaged}
+        # Replay in fixed orders, never set order: energies are float sums
+        # over placement insertion order, so hash order would leak into them.
+        salvaged_placements = {
+            name: committed.placement(name)
+            for name in ctg.topological_order()
+            if name in salvaged
+        }
+        kept_order = sorted(kept)
         base_tables = _salvage_tables(committed, salvaged, kept, plan)
 
         budgets = compute_budgets(
@@ -319,15 +326,15 @@ def inject_and_recover(
             ) from exc
         for name, placement in salvaged_placements.items():
             recovery.place_task(placement)
-        for key in kept:
+        for key in kept_order:
             recovery.place_comm(committed.comm_placements[key])
 
         repair_report: Optional[RepairReport] = None
         if cfg.repair and recovery.deadline_misses():
             prefix = Schedule(ctg, degraded, algorithm="recovery")
-            for name in salvaged:
-                prefix.place_task(committed.placement(name))
-            for key in kept:
+            for placement in salvaged_placements.values():
+                prefix.place_task(placement)
+            for key in kept_order:
                 prefix.place_comm(committed.comm_placements[key])
 
             def rebuilder(

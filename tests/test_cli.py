@@ -15,6 +15,31 @@ class TestTopLevel:
             main(["frobnicate"])
 
 
+class TestImportHygiene:
+    def test_cli_imports_only_the_standard_library(self):
+        """The package runs on the standard library alone: importing the
+        CLI in a fresh interpreter pulls in neither networkx nor numpy."""
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import repro.cli, sys\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'numpy')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestTables:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0

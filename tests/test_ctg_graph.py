@@ -46,10 +46,24 @@ class TestConstruction:
 
     def test_cycle_rejected_and_graph_unchanged(self):
         ctg = small_ctg()
-        with pytest.raises(CTGError):
+        with pytest.raises(CTGError, match="would create a cycle"):
             ctg.connect("d", "a")
         assert ctg.n_edges == 4
         assert not ctg.has_edge("d", "a")
+        assert ctg.predecessors("a") == []
+        assert ctg.successors("d") == []
+        assert ctg.successors("a") == ["b", "c"]
+        assert ctg.predecessors("d") == ["b", "c"]
+        assert ctg.topological_order() == ["a", "b", "c", "d"]
+
+    def test_self_loop_rejected_and_graph_unchanged(self):
+        ctg = small_ctg()
+        with pytest.raises(CTGError, match="self-dependency"):
+            ctg.connect("b", "b")
+        assert ctg.n_edges == 4
+        assert not ctg.has_edge("b", "b")
+        assert ctg.predecessors("b") == ["a"]
+        assert ctg.successors("b") == ["d"]
 
 
 class TestQueries:

@@ -217,3 +217,57 @@ class TestSmallPlatform:
         )
         result = inject_and_recover(committed, plan)
         assert result.recovery.placement("t5").pe != plan.pe_faults[0].pe
+
+
+_RECOVER_CAT2_SCRIPT = """
+import json
+from repro.arch.presets import mesh_3x3
+from repro.core.eas import eas_schedule
+from repro.ctg.generator import generate_category
+from repro.faults.plan import generate_fault_plans
+from repro.faults.recovery import UnsurvivableFaultError, inject_and_recover
+from repro.schedule.serialization import schedule_to_dict
+
+results = []
+for index in range(2):
+    ctg = generate_category(2, index, n_tasks=30)
+    acg = mesh_3x3()
+    committed = eas_schedule(ctg, acg)
+    for plan in generate_fault_plans(acg, 6, seed=index, horizon=committed.makespan()):
+        try:
+            recovery = inject_and_recover(committed, plan).recovery
+        except UnsurvivableFaultError as exc:
+            results.append([plan.name, str(exc)])
+            continue
+        document = schedule_to_dict(recovery)
+        document["runtime_seconds"] = 0.0
+        results.append([plan.name, recovery.total_energy().hex(), document])
+print(json.dumps(results, sort_keys=True))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_recovery_identical_across_hash_seeds(self):
+        """Salvaged placements and kept transactions are replayed in a
+        fixed order, so energies (float sums in placement order) and the
+        schedule cannot depend on string hashing."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _RECOVER_CAT2_SCRIPT],
+                env={**os.environ, "PYTHONPATH": os.path.join(root, "src"), "PYTHONHASHSEED": hash_seed},
+                cwd=root,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        assert sum(len(entry) == 3 for entry in outputs[0]) >= 6  # enough recoveries compared
+        assert outputs[0] == outputs[1]
