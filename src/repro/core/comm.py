@@ -10,7 +10,9 @@ its reservation is visible to the transactions scheduled after it.
 
 The path probe (``overlay.find_earliest_on_path``) is the single hottest
 operation in the whole system — every F(i,k) evaluation and every repair
-rebuild funnels through it.  It is served by the version-keyed path-table
+rebuild funnels through it.  It addresses link tables by the route's int
+resource ids (``Route.resources``, numbered by the ACG), never by
+:class:`~repro.arch.topology.Link` objects.  It is served by the version-keyed path-table
 cache in :mod:`repro.schedule.overlay`: the merged committed busy list of
 each route is reused until one of its link tables changes version, probes
 whose ready time clears every horizon skip merging entirely, and all
@@ -26,8 +28,12 @@ decides whether this was a what-if evaluation (drop) or the real
 placement (commit) — the paper's "schedule tables ... will be restored
 every time a F(i,k) is calculated".
 
-The overlay additionally records every link table this pass probed
-(``overlay.probed_resources()``) and the reservations it made
+Each transaction comes back as a :class:`Transfer` tuple; the frozen
+:class:`CommPlacement` is built only for the transactions a commit or a
+report keeps.
+
+The overlay additionally records the id of every link table this pass
+probed (``overlay.probed_resources()``) and the reservations it made
 (``overlay.reservations()``).  Together they are the evaluation's
 *resource footprint*: the F(i,k) result is a pure function of the busy
 states of the probed resources, which is what lets the level-based
@@ -39,14 +45,42 @@ link tables entirely, so its footprint is the destination PE alone.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import List, Mapping, NamedTuple, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
+from repro.arch.topology import Link
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import TentativeOverlay
+
+
+class Transfer(NamedTuple):
+    """One scheduled incoming transaction, as a plain tuple.
+
+    The fields are those of :class:`CommPlacement`, in the same order.
+    A probe builds one per incoming edge, and most probes are dropped,
+    so the frozen dataclass is only built (:meth:`placement`) for the
+    transactions a commit or a report actually keeps.
+    """
+
+    src_task: str
+    dst_task: str
+    volume: float
+    src_pe: int
+    dst_pe: int
+    start: float
+    finish: float
+    links: Tuple[Link, ...]
+    energy: float
+
+    @property
+    def is_local(self) -> bool:
+        return not self.links
+
+    def placement(self) -> CommPlacement:
+        return CommPlacement(*self)
 
 
 def schedule_incoming_transactions(
@@ -58,7 +92,7 @@ def schedule_incoming_transactions(
     overlay: TentativeOverlay,
     contention_aware: bool = True,
     floor: float = 0.0,
-) -> Tuple[float, List[CommPlacement]]:
+) -> Tuple[float, List[Transfer]]:
     """Schedule the LCT of ``task`` assuming it runs on ``dst_pe``.
 
     Args:
@@ -82,8 +116,8 @@ def schedule_incoming_transactions(
             because all times are non-negative.
 
     Returns:
-        ``(drt, comm_placements)`` — the data ready time (0.0 for source
-        tasks) and one :class:`CommPlacement` per incoming edge, in the
+        ``(drt, transfers)`` — the data ready time (0.0 for source
+        tasks) and one :class:`Transfer` per incoming edge, in the
         order they were scheduled.
     """
     lct = ctg.in_edges(task)
@@ -104,13 +138,15 @@ def schedule_incoming_transactions(
     local_transfers = metrics.counter("comm.local_transfers")
 
     drt = 0.0
-    comm_placements: List[CommPlacement] = []
+    transfers: List[Transfer] = []
     for edge in lct:
         sender = placements[edge.src]
+        volume = edge.volume
         route = acg.route(sender.pe, dst_pe)
-        duration = acg.comm_duration(edge.volume, sender.pe, dst_pe)
         ready = max(sender.finish, floor)
-        if route.is_local or duration == 0.0:
+        # ACG.comm_duration and ACG.comm_energy, on the route in hand.
+        duration = 0.0 if route.is_local or volume == 0 else volume / route.bandwidth
+        if duration == 0.0:
             # Same tile or zero volume: no links held, data available at
             # the moment the sender finishes (or the floor, if later).
             start = finish = ready
@@ -120,27 +156,20 @@ def schedule_incoming_transactions(
             start = ready
             finish = start + duration
         else:
-            start = overlay.find_earliest_on_path(route.links, ready, duration)
+            start = overlay.find_earliest_on_path(route.resources, ready, duration)
             finish = start + duration
-            overlay.reserve_on_path(route.links, start, finish)
+            overlay.reserve_on_path(route.resources, start, finish)
             link_probes.inc()
-        comm_placements.append(
-            CommPlacement(
-                src_task=edge.src,
-                dst_task=task,
-                volume=edge.volume,
-                src_pe=sender.pe,
-                dst_pe=dst_pe,
-                start=start,
-                finish=finish,
-                links=route.links,
-                energy=acg.comm_energy(edge.volume, sender.pe, dst_pe),
+        transfers.append(
+            Transfer(
+                edge.src, task, volume, sender.pe, dst_pe, start, finish,
+                route.links, volume * route.energy_per_bit,
             )
         )
         if finish > drt:
             drt = finish
 
-    return drt, comm_placements
+    return drt, transfers
 
 
 def incoming_comm_energy(

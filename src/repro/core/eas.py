@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
@@ -89,8 +89,8 @@ class EASConfig:
     contention_aware: bool = True
 
 
-#: resource -> busy windows an evaluation was granted there.
-Windows = Dict[Hashable, Tuple[Interval, ...]]
+#: resource id -> busy windows an evaluation was granted there.
+Windows = Dict[int, Tuple[Interval, ...]]
 
 
 def _windows_conflict(a: Windows, b: Windows) -> bool:
@@ -123,7 +123,7 @@ def _candidate_from_eval(evaluation: Evaluation, bd: float) -> Candidate:
     the transaction energies; ``slack`` is the margin the placement
     would leave against the Step-1 budgeted deadline.
     """
-    comm_energy = sum(c.energy for c in evaluation.comms)
+    comm_energy = sum(t.energy for t in evaluation.transfers)
     return Candidate(
         pe=evaluation.pe,
         finish=evaluation.finish,
@@ -132,7 +132,7 @@ def _candidate_from_eval(evaluation: Evaluation, bd: float) -> Candidate:
         drt=evaluation.drt,
         compute_energy=evaluation.energy - comm_energy,
         comm_energy=comm_energy,
-        hops=sum(len(c.links) for c in evaluation.comms),
+        hops=sum(len(t.links) for t in evaluation.transfers),
         slack=bd - evaluation.finish,
     )
 
@@ -265,7 +265,7 @@ class LevelBasedScheduler:
         )
         #: clean F(i,k) evaluations carried across RTL iterations, with
         #: each one's probe footprint and granted windows.
-        self._cache: Dict[Tuple[str, int], Tuple[Evaluation, FrozenSet[Hashable], Windows]] = {}
+        self._cache: Dict[Tuple[str, int], Tuple[Evaluation, FrozenSet[int], Windows]] = {}
         #: per-task feasible PE indices (static: depends on types only).
         self._feasible_pes: Dict[str, List[int]] = {}
         ins = obs.get()

@@ -265,6 +265,7 @@ class IncrementalRebuilder:
         for pe in orders1:
             idx.setdefault(pe, 0)
         successors = self.ctg.successors
+        link_id = self.acg.link_id
         tables: Optional[ResourceTables] = None
 
         def next_eligible(order: Sequence[str], slot: int) -> Optional[str]:
@@ -320,7 +321,7 @@ class IncrementalRebuilder:
                 for comm in step.comms:
                     if comm.finish - comm.start > EPS:
                         for link in comm.links:
-                            tables.reserve(link, comm.start, comm.finish)
+                            tables.reserve(link_id(link), comm.start, comm.finish)
         if tables is None:
             tables = self._materialize(frontier)
         return frontier, idx, remaining, placed, placements, tables
@@ -330,7 +331,9 @@ class IncrementalRebuilder:
         tables = self._final_tables.fork()
         cone = self._trace[frontier:]
         tables.unreserve(
-            (step.placement for step in cone), (comm for step in cone for comm in step.comms)
+            (step.placement for step in cone),
+            (comm for step in cone for comm in step.comms),
+            self.acg,
         )
         return tables
 
@@ -452,12 +455,22 @@ class IncrementalRebuilder:
         incumbent_metric: MissMetric,
         aborted: bool,
     ) -> None:
-        """Assert this evaluation agrees with a from-scratch rebuild."""
+        """Assert this evaluation agrees with a from-scratch rebuild.
+
+        The rebuild runs on the paper-literal tables of the reference
+        scheduler, so the check trusts neither the path cache nor the
+        production tables the incremental engine forks.
+        """
         if not self.selfcheck:
             return
+        # Imported here: repro.core.reference imports the repair loop,
+        # which imports this module.
+        from repro.core.reference import LiteralTables
+
         try:
             full = rebuild_schedule(
-                self.ctg, self.acg, mapping, orders, algorithm=self.algorithm
+                self.ctg, self.acg, mapping, orders, algorithm=self.algorithm,
+                tables=LiteralTables(),
             )
         except InfeasibleOrderError:
             full = None

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import List, MutableMapping, NamedTuple, Optional
 
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.comm import Transfer, schedule_incoming_transactions
 from repro.ctg.graph import CTG
 from repro.errors import UnroutableError
 from repro.schedule.entries import CommPlacement, TaskPlacement
@@ -43,10 +43,13 @@ class Evaluation(NamedTuple):
 
     ``energy`` is the paper's selection energy: computation energy plus
     the network energy of the task's inputs.  ``compute_energy`` alone
-    is what the committed :class:`TaskPlacement` records.  ``overlay``
-    is the uncommitted layer the probe ran on: its ``reservations()``
-    are the probe's link reservations, its ``probed_resources()`` the
-    tables the probe read.
+    is what the committed :class:`TaskPlacement` records.
+    ``transfers`` are the task's incoming transactions as plain tuples;
+    :attr:`comms` turns them into placements for the few evaluations
+    that are committed or reported.  ``overlay`` is the uncommitted
+    layer the probe ran on: its ``reservations()`` are the probe's link
+    reservations, its ``probed_resources()`` the tables the probe read,
+    both keyed by resource id.
     """
 
     task: str
@@ -56,8 +59,13 @@ class Evaluation(NamedTuple):
     drt: float
     compute_energy: float
     energy: float
-    comms: List[CommPlacement]
+    transfers: List[Transfer]
     overlay: TentativeOverlay
+
+    @property
+    def comms(self) -> List[CommPlacement]:
+        """The incoming transactions as :class:`CommPlacement` records."""
+        return [transfer.placement() for transfer in self.transfers]
 
 
 def probe(
@@ -85,14 +93,16 @@ def probe(
         return None
     overlay = tables.overlay()
     try:
-        drt, comms = schedule_incoming_transactions(
+        drt, transfers = schedule_incoming_transactions(
             ctg, acg, task, pe, placements, overlay, contention_aware=contention_aware, floor=floor
         )
     except UnroutableError:
         return None
     start = overlay.find_earliest(pe, max(drt, floor), cost.time)
-    energy = cost.energy + sum(c.energy for c in comms)
-    return Evaluation(task, pe, start, start + cost.time, drt, cost.energy, energy, comms, overlay)
+    energy = cost.energy + sum(t.energy for t in transfers)
+    return Evaluation(
+        task, pe, start, start + cost.time, drt, cost.energy, energy, transfers, overlay
+    )
 
 
 def commit(

@@ -25,7 +25,7 @@ and never touches ``comm.path_cache_*`` or ``comm.horizon_fast_path``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
@@ -46,12 +46,12 @@ from repro.schedule.table import find_gap, merge_busy
 class _LiteralOverlay(TentativeOverlay):
     """A tentative layer whose every probe re-merges from scratch."""
 
-    def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
+    def find_earliest(self, resource: int, ready: float, duration: float) -> float:
         self._probed.add(resource)
         return find_gap(self._combined(resource), ready, duration)
 
     def find_earliest_on_path(
-        self, resources: Sequence[Hashable], ready: float, duration: float
+        self, resources: Sequence[int], ready: float, duration: float
     ) -> float:
         if not resources:
             return ready

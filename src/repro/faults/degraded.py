@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.arch.acg import ACG, Route
 from repro.arch.routing import RoutingAlgorithm, ShortestPathRouting
-from repro.arch.topology import Coord, Link, Topology
+from repro.arch.topology import Coord, Topology
 from repro.errors import ArchitectureError, RoutingError, UnroutableError
 from repro.faults.plan import FaultPlan
 
@@ -145,11 +145,12 @@ class DegradedACG(ACG):
         self.type_catalog = dict(base.type_catalog)
         self.pes = list(base.pes)
         self._coord_to_index: Dict[Coord, int] = {pe.position: pe.index for pe in self.pes}
+        # The base numbering: every surviving link keeps its id, so
+        # tables mixing healthy and degraded routes agree on every id.
+        self._link_ids = base._link_ids
+        self.n_resources = base.n_resources
         self._routes: Dict[Tuple[int, int], Route] = {}
         self._unroutable: Dict[Tuple[int, int], str] = {}
-        self._build_degraded_routes()
-
-    def _build_degraded_routes(self) -> None:
         alive = [pe for pe in self.pes if pe.index not in self.dead_pes]
         for src_pe in alive:
             for dst_pe in alive:
@@ -162,17 +163,7 @@ class DegradedACG(ACG):
                     # error: record it and let route() raise on access.
                     self._unroutable[(src_pe.index, dst_pe.index)] = str(exc)
                     continue
-                self.topology.validate_path(path)
-                links = tuple(Link(a, b) for a, b in zip(path, path[1:]))
-                n_hops = len(path)
-                self._routes[(src_pe.index, dst_pe.index)] = Route(
-                    src=src_pe.index,
-                    dst=dst_pe.index,
-                    links=links,
-                    n_hops=n_hops,
-                    energy_per_bit=self.energy_model.energy_per_bit(n_hops),
-                    bandwidth=self.link_bandwidth,
-                )
+                self._add_route(src_pe.index, dst_pe.index, path)
 
     # -- availability / route queries -----------------------------------------
 

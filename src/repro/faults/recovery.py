@@ -223,8 +223,10 @@ def _salvage_tables(
     placements and dropped transactions are undone with
     :meth:`~repro.schedule.overlay.ResourceTables.unreserve`.  Transient
     outage windows are reserved afterwards on both directions of each
-    affected channel.
+    affected channel.  Links map to resource ids through the committed
+    ACG, whose numbering every degraded view of it shares.
     """
+    link_id = committed.acg.link_id
     full = ResourceTables()
     for placement in committed.task_placements.values():
         if placement.finish - placement.start > EPS:
@@ -232,16 +234,17 @@ def _salvage_tables(
     for comm in committed.comm_placements.values():
         if comm.finish - comm.start > EPS:
             for link in comm.links:
-                full.reserve(link, comm.start, comm.finish)
+                full.reserve(link_id(link), comm.start, comm.finish)
 
     tables = full.fork()
     tables.unreserve(
         (p for name, p in committed.task_placements.items() if name not in salvaged),
         (c for key, c in committed.comm_placements.items() if key not in kept),
+        committed.acg,
     )
     for link, windows in plan.transient_windows().items():
         for start, end in _merged_windows(windows):
-            tables.reserve(link, start, end)
+            tables.reserve(link_id(link), start, end)
     return tables
 
 

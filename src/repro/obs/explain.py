@@ -501,7 +501,7 @@ def verify_decision_components(
                 )
                 continue
             probed[candidate.pe] = evaluation
-            comm_energy = sum(c.energy for c in evaluation.comms)
+            comm_energy = sum(t.energy for t in evaluation.transfers)
             expected = {
                 "start": evaluation.start,
                 "drt": evaluation.drt,
@@ -519,7 +519,7 @@ def verify_decision_components(
                         f"{decision.task}@PE{candidate.pe}: {key} captured "
                         f"{captured!r} != recomputed {value!r}"
                     )
-            hops = sum(len(c.links) for c in evaluation.comms)
+            hops = sum(len(t.links) for t in evaluation.transfers)
             if candidate.hops is not None and candidate.hops != hops:
                 mismatches.append(
                     f"{decision.task}@PE{candidate.pe}: hops captured "

@@ -16,8 +16,9 @@ probed over and over — across the transactions of one evaluation, across
 the PE candidates of one RTL iteration, and across the replays of the
 incremental repair engine — while the underlying link tables change only
 on commit.  :meth:`ResourceTables.path_busy` therefore caches the merged
-*committed* busy list per route, keyed by the route's resource tuple and
-validated by the tuple of per-table version counters (see
+*committed* busy list per route, keyed by the route's resource-id tuple
+(``Route.resources``) and validated by the tuple of per-table version
+counters (see
 :class:`~repro.schedule.table.ScheduleTable`): a probe whose links are
 all unchanged reuses the merge verbatim, and the overlay only merges
 ``[cached_path_table, *tentative_extras]`` on top.  Version mismatch is
@@ -40,21 +41,28 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.table import EPS, Interval, ScheduleTable, find_gap, merge_busy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.arch.acg import ACG
 
 #: shared read view of a resource that has no table yet.
 _EMPTY_BUSY: Tuple[Interval, ...] = ()
 
 
 class ResourceTables:
-    """Committed schedule tables for a set of resources, keyed by hashable ids.
+    """Committed schedule tables for a set of resources, keyed by int ids.
 
     Resources are created lazily: querying an unknown resource sees an
-    empty table.  PE resources are keyed by PE index, link resources by
-    :class:`repro.arch.topology.Link`.
+    empty table.  The keys are the ACG's resource ids: PE ``k`` is ``k``
+    and a directed link is ``ACG.link_id(link)`` (``Route.resources``
+    holds them per route).  A table keyed by a
+    :class:`~repro.arch.topology.Link` would be a second, invisible
+    table for the same channel, so code holding ``Link`` objects maps
+    them through the ACG first, as :meth:`unreserve` does.
 
     :meth:`fork` produces a copy-on-write clone: both sides keep sharing
     the per-resource :class:`ScheduleTable` objects until one of them
@@ -69,14 +77,14 @@ class ResourceTables:
     """
 
     def __init__(self) -> None:
-        self._tables: Dict[Hashable, ScheduleTable] = {}
+        self._tables: Dict[int, ScheduleTable] = {}
         #: resources whose table object is shared with a fork; mutate
         #: through :meth:`_mutable` only.
-        self._shared: Set[Hashable] = set()
-        #: route tuple -> (per-link version tuple, merged committed busy
-        #: list).  Entries' lists are never mutated after insertion.
+        self._shared: Set[int] = set()
+        #: route resource-id tuple -> (per-link version tuple, merged
+        #: committed busy list).  Entries' lists are never mutated after insertion.
         self._path_cache: Dict[
-            Tuple[Hashable, ...], Tuple[Tuple[int, ...], List[Interval]]
+            Tuple[int, ...], Tuple[Tuple[int, ...], List[Interval]]
         ] = {}
         # Counter fetch is deferred so merely importing this module never
         # drags in the obs package (which itself imports schedule code).
@@ -88,7 +96,7 @@ class ResourceTables:
         self._horizon_hits = metrics.counter("comm.horizon_fast_path")
         self._merge_work = metrics.counter("comm.merge_intervals")
 
-    def table(self, resource: Hashable) -> ScheduleTable:
+    def table(self, resource: int) -> ScheduleTable:
         """Read access to one resource's table (do not mutate the result)."""
         tbl = self._tables.get(resource)
         if tbl is None:
@@ -96,7 +104,7 @@ class ResourceTables:
             self._tables[resource] = tbl
         return tbl
 
-    def _mutable(self, resource: Hashable) -> ScheduleTable:
+    def _mutable(self, resource: int) -> ScheduleTable:
         """The resource's table, privately owned (copied if fork-shared)."""
         tbl = self.table(resource)
         if resource in self._shared:
@@ -105,12 +113,12 @@ class ResourceTables:
             self._shared.discard(resource)
         return tbl
 
-    def busy(self, resource: Hashable) -> List[Interval]:
+    def busy(self, resource: int) -> List[Interval]:
         """Defensive copy of a resource's busy list (external/API use)."""
         tbl = self._tables.get(resource)
         return tbl.intervals() if tbl is not None else []
 
-    def busy_view(self, resource: Hashable) -> Sequence[Interval]:
+    def busy_view(self, resource: int) -> Sequence[Interval]:
         """Zero-copy read view of a resource's busy list.
 
         Callers must treat the result as immutable and must not hold it
@@ -120,7 +128,7 @@ class ResourceTables:
         tbl = self._tables.get(resource)
         return tbl.busy_view() if tbl is not None else _EMPTY_BUSY
 
-    def version(self, resource: Hashable) -> int:
+    def version(self, resource: int) -> int:
         """The resource's content-version (0 for never-touched tables).
 
         A lazily created empty table also reports 0: both states have
@@ -129,12 +137,7 @@ class ResourceTables:
         tbl = self._tables.get(resource)
         return tbl.version if tbl is not None else 0
 
-    def horizon(self, resource: Hashable) -> float:
-        """End of the resource's last committed reservation (0.0 if none)."""
-        tbl = self._tables.get(resource)
-        return tbl.horizon() if tbl is not None else 0.0
-
-    def path_busy(self, resources: Sequence[Hashable]) -> Sequence[Interval]:
+    def path_busy(self, resources: Sequence[int]) -> Sequence[Interval]:
         """The merged committed busy list of a route, cached by version.
 
         The cache key is the route's resource tuple; the entry is valid
@@ -143,7 +146,8 @@ class ResourceTables:
         byte-identical merge (DESIGN.md, "Path-table cache soundness").
         """
         key = tuple(resources)
-        versions = tuple(self.version(r) for r in key)
+        tables = self._tables
+        versions = tuple([tables[r].version if r in tables else 0 for r in key])
         entry = self._path_cache.get(key)
         if entry is not None and entry[0] == versions:
             self._path_hits.inc()
@@ -155,34 +159,35 @@ class ResourceTables:
         self._path_misses.inc()
         return merged
 
-    def reserve(self, resource: Hashable, start: float, end: float) -> None:
+    def reserve(self, resource: int, start: float, end: float) -> None:
         self._mutable(resource).reserve(start, end)
 
-    def release(self, resource: Hashable, start: float, end: float) -> None:
+    def release(self, resource: int, start: float, end: float) -> None:
         self._mutable(resource).release(start, end)
 
-    def truncate_from(self, resource: Hashable, start: float) -> int:
+    def truncate_from(self, resource: int, start: float) -> int:
         """Bulk-drop the resource's reservations beginning at/after ``start``."""
         return self._mutable(resource).truncate_from(start)
 
     def unreserve(
-        self, tasks: Iterable[TaskPlacement], comms: Iterable[CommPlacement]
+        self, tasks: Iterable[TaskPlacement], comms: Iterable[CommPlacement], acg: "ACG"
     ) -> None:
         """Undo the reservations of committed task and transaction placements.
 
-        Where a resource's undone intervals are exactly the tail of its
+        Each transaction's links are mapped to their resource ids through
+        ``acg``.  Where a resource's undone intervals are exactly the tail of its
         busy list, one :meth:`truncate_from` drops them; otherwise each
         is released by exact match.  Undo work is proportional to the
         placements undone, not to the tables.
         """
-        undo: Dict[Hashable, List[Interval]] = {}
+        undo: Dict[int, List[Interval]] = {}
         for task in tasks:
             if task.finish - task.start > EPS:
                 undo.setdefault(task.pe, []).append((task.start, task.finish))
         for comm in comms:
             if comm.finish - comm.start > EPS:
                 for link in comm.links:
-                    undo.setdefault(link, []).append((comm.start, comm.finish))
+                    undo.setdefault(acg.link_id(link), []).append((comm.start, comm.finish))
         for resource, intervals in undo.items():
             intervals.sort()
             # Zero-copy read: compared, never mutated (the slice copies).
@@ -194,10 +199,10 @@ class ResourceTables:
                 for start, end in intervals:
                     self.release(resource, start, end)
 
-    def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
+    def find_earliest(self, resource: int, ready: float, duration: float) -> float:
         return self.table(resource).find_earliest(ready, duration)
 
-    def resources(self) -> List[Hashable]:
+    def resources(self) -> List[int]:
         return list(self._tables)
 
     def copy(self) -> "ResourceTables":
@@ -244,11 +249,12 @@ class TentativeOverlay:
     Reservations recorded here are visible to subsequent queries through
     the overlay (transaction n+1 must see transaction n's tentative link
     occupancy) but never touch the committed tables; dropping the overlay
-    is the paper's "restore".  Per-resource tentative lists are kept
+    is the paper's "restore".  Resources are the int ids of
+    :class:`ResourceTables`.  Per-resource tentative lists are kept
     sorted with ``bisect.insort`` so reads never re-sort them.
 
-    The overlay also records every resource whose committed busy state a
-    query consulted (its *probe footprint*).  An F(i,k) evaluation's
+    The overlay also records the id of every resource whose committed
+    busy state a query consulted (its *probe footprint*).  An F(i,k) evaluation's
     result is a pure function of the busy states it probed, so a later
     commit can only change the result if it reserves one of the probed
     resources — the invariant the incremental evaluation cache in
@@ -257,13 +263,13 @@ class TentativeOverlay:
 
     def __init__(self, base: ResourceTables) -> None:
         self._base = base
-        self._extra: Dict[Hashable, List[Interval]] = {}
+        self._extra: Dict[int, List[Interval]] = {}
         #: per-resource max end of the tentative reservations, for the
         #: horizon fast path.
-        self._extra_horizon: Dict[Hashable, float] = {}
-        self._probed: Set[Hashable] = set()
+        self._extra_horizon: Dict[int, float] = {}
+        self._probed: Set[int] = set()
 
-    def _combined(self, resource: Hashable) -> Sequence[Interval]:
+    def _combined(self, resource: int) -> Sequence[Interval]:
         extra = self._extra.get(resource)
         base = self._base.busy_view(resource)
         if not extra:
@@ -271,15 +277,29 @@ class TentativeOverlay:
         self._base._merge_work.inc(len(base) + len(extra))
         return merge_busy([base, extra])
 
-    def _horizon(self, resource: Hashable) -> float:
-        """Latest busy end visible through the overlay on ``resource``."""
-        horizon = self._base.horizon(resource)
-        extra = self._extra_horizon.get(resource, 0.0)
-        return extra if extra > horizon else horizon
+    def _horizon(self, resources: Sequence[int]) -> float:
+        """Latest busy end visible through the overlay on any of ``resources``.
 
-    def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
+        Reads each committed table's last interval directly: this runs
+        once per path probe, over every link of the route.
+        """
+        tables = self._base._tables
+        extra_horizon = self._extra_horizon
+        horizon = 0.0
+        for resource in resources:
+            table = tables.get(resource)
+            if table is not None:
+                busy = table._busy
+                if busy and busy[-1][1] > horizon:
+                    horizon = busy[-1][1]
+            extra = extra_horizon.get(resource)
+            if extra is not None and extra > horizon:
+                horizon = extra
+        return horizon
+
+    def find_earliest(self, resource: int, ready: float, duration: float) -> float:
         self._probed.add(resource)
-        if ready >= self._horizon(resource):
+        if ready >= self._horizon((resource,)):
             # Nothing visible ends after `ready`: find_gap would scan
             # past every interval and return `ready` unchanged.
             self._base._horizon_hits.inc()
@@ -287,7 +307,7 @@ class TentativeOverlay:
         return find_gap(self._combined(resource), ready, duration)
 
     def find_earliest_on_path(
-        self, resources: Sequence[Hashable], ready: float, duration: float
+        self, resources: Sequence[int], ready: float, duration: float
     ) -> float:
         """Earliest slot free on *all* path resources simultaneously.
 
@@ -301,12 +321,7 @@ class TentativeOverlay:
             return ready
         self._probed.update(resources)
         base = self._base
-        horizon = 0.0
-        for resource in resources:
-            h = self._horizon(resource)
-            if h > horizon:
-                horizon = h
-        if ready >= horizon:
+        if ready >= self._horizon(resources):
             base._horizon_hits.inc()
             return ready
         merged = base.path_busy(resources)
@@ -316,18 +331,21 @@ class TentativeOverlay:
             merged = merge_busy([merged] + extras)
         return find_gap(merged, ready, duration)
 
-    def reserve(self, resource: Hashable, start: float, end: float) -> None:
+    def reserve(self, resource: int, start: float, end: float) -> None:
+        self.reserve_on_path((resource,), start, end)
+
+    def reserve_on_path(self, resources: Iterable[int], start: float, end: float) -> None:
+        """Tentatively reserve ``[start, end)`` on every resource of a path."""
         if end - start <= 0:
             return
-        insort(self._extra.setdefault(resource, []), (start, end))
-        if end > self._extra_horizon.get(resource, 0.0):
-            self._extra_horizon[resource] = end
-
-    def reserve_on_path(self, resources: Iterable[Hashable], start: float, end: float) -> None:
+        extra, extra_horizon = self._extra, self._extra_horizon
+        interval = (start, end)
         for resource in resources:
-            self.reserve(resource, start, end)
+            insort(extra.setdefault(resource, []), interval)
+            if end > extra_horizon.get(resource, 0.0):
+                extra_horizon[resource] = end
 
-    def probed_resources(self) -> FrozenSet[Hashable]:
+    def probed_resources(self) -> FrozenSet[int]:
         """Every resource whose busy state a query on this overlay read.
 
         This is the evaluation's *resource footprint*: its result can
@@ -335,7 +353,7 @@ class TentativeOverlay:
         """
         return frozenset(self._probed)
 
-    def reservations(self) -> Dict[Hashable, Tuple[Interval, ...]]:
+    def reservations(self) -> Dict[int, Tuple[Interval, ...]]:
         """Snapshot of the tentative reservations, keyed by resource.
 
         The snapshot survives :meth:`drop`, so a cached evaluation can

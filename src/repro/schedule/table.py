@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from itertools import chain
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import SchedulingError
@@ -200,15 +201,18 @@ def merge_busy(interval_lists: Sequence[Sequence[Interval]]) -> List[Interval]:
     if len(populated) == 1:
         merged: Sequence[Interval] = populated[0]
     else:
-        merged = sorted(interval for intervals in populated for interval in intervals)
+        merged = sorted(chain.from_iterable(populated))
     if not merged:
         return []
-    result = [merged[0]]
+    result: List[Interval] = []
+    # The open interval is held in locals and appended once it closes.
+    last_start, last_end = merged[0]
     for start, end in merged[1:]:
-        last_start, last_end = result[-1]
         if start <= last_end + EPS:
             if end > last_end:
-                result[-1] = (last_start, end)
+                last_end = end
         else:
-            result.append((start, end))
+            result.append((last_start, last_end))
+            last_start, last_end = start, end
+    result.append((last_start, last_end))
     return result

@@ -105,8 +105,9 @@ class TestDRT:
             "s2": TaskPlacement("s2", pe=2, start=0, finish=0, energy=0),
         }
         tables = ResourceTables()
-        # Block the link (0,0)->(0,1) for [0, 100).
-        link01 = acg.route(0, 1).links[0]
+        # Block the link (0,0)->(0,1) for [0, 100); tables are keyed by
+        # the ACG's resource ids, not by Link objects.
+        link01 = acg.route(0, 1).resources[0]
         tables.reserve(link01, 0, 100)
         drt, comms = schedule_incoming_transactions(
             ctg, acg, "recv", 1, placements, tables.overlay()
@@ -133,7 +134,7 @@ class TestDRT:
         overlay = tables.overlay()
         schedule_incoming_transactions(ctg, acg, "recv", 3, placements, overlay)
         overlay.drop()
-        for link in acg.route(0, 3).links:
+        for link in acg.route(0, 3).resources:
             assert tables.busy(link) == []
 
     def test_energy_matches_acg(self):

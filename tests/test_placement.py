@@ -33,7 +33,7 @@ def _half_built():
     for comm in full.comm_placements.values():
         if comm.dst_task in placements:
             for link in comm.links:
-                tables.reserve(link, comm.start, comm.finish)
+                tables.reserve(acg.link_id(link), comm.start, comm.finish)
     ready = [
         name
         for name in ctg.task_names()
@@ -45,7 +45,7 @@ def _half_built():
 
 
 def _resources(acg):
-    return [pe.index for pe in acg.pes] + list(acg.topology.links())
+    return range(acg.n_resources)
 
 
 def _state(tables, acg):
@@ -66,7 +66,7 @@ def _reprobe_commit(tables, ctg, acg, placements, schedule, task, pe):
     placements[task] = placement
     schedule.place_task(placement)
     for comm in comms:
-        schedule.place_comm(comm)
+        schedule.place_comm(comm.placement())
     return placement
 
 
