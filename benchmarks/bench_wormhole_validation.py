@@ -7,10 +7,15 @@ suite through the flit-level wormhole simulator (per-cycle flits,
 channel ownership, 2-flit register buffers) and checks each packet's
 tail arrives within the promised window plus the pipeline allowance.
 It also reports the flit-level statistics (average latency, stall
-cycles) that the abstraction hides.
+cycles) that the abstraction hides, and the replay's own cost: ``steps``
+(cycles the event-driven simulator actually advanced) next to
+``cycles`` (simulated time).  ``steps < cycles`` is asserted on every
+case with packets, so a regression to per-cycle stepping fails on an
+operation count rather than on wall time.
 """
 
 from benchmarks.conftest import run_once
+from repro import obs
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
 from repro.core.eas import eas_base_schedule
 from repro.ctg.generator import generate_category
@@ -29,12 +34,15 @@ def run_validation():
     for name, build in CASES:
         ctg, acg = build()
         schedule = eas_base_schedule(ctg, acg)
-        report = validate_transaction_abstraction(schedule)
+        ins = obs.Instrumentation.enabled()
+        with obs.activate(ins):
+            report = validate_transaction_abstraction(schedule)
         rows.append(
             {
                 "benchmark": name,
                 "packets": len(report.packets),
                 "cycles": report.cycles_run,
+                "steps": int(ins.metrics.counter("wormhole.steps").value),
                 "avg_latency": report.average_latency_cycles(),
                 "stalls": report.total_stall_cycles(),
             }
@@ -48,7 +56,8 @@ def test_wormhole_validation(benchmark, show):
     for row in rows:
         lines.append(
             f"  {row['benchmark']:>20}: {row['packets']:3d} packets, "
-            f"{row['cycles']:7d} cycles, avg latency {row['avg_latency']:.1f} cy, "
+            f"{row['cycles']:7d} cycles, {row['steps']:6d} steps, "
+            f"avg latency {row['avg_latency']:.1f} cy, "
             f"stall cycles {row['stalls']}"
         )
     show("\n".join(lines))
@@ -59,3 +68,4 @@ def test_wormhole_validation(benchmark, show):
     for row in rows:
         if row["packets"]:
             assert row["avg_latency"] > 0
+            assert row["steps"] < row["cycles"], row

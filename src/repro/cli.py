@@ -16,6 +16,7 @@ single benchmark and print its Gantt chart:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from contextlib import nullcontext, redirect_stdout
@@ -382,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_benchmark_arguments(p)
     p.add_argument(
         "--slack-hops-factor",
-        type=float,
+        type=_nonnegative_finite,
         default=4.0,
         help="allowed flit-level lateness per hop, in cycle times "
         "(the transaction-abstraction slack bound)",
@@ -1049,6 +1050,17 @@ def _handle_diff(args) -> int:
         payload,
         f"diff: {len(diff.moves)} moves, {len(diff.root_causes())} root-cause",
     )
+
+
+def _nonnegative_finite(text: str) -> float:
+    """argparse type: a float that is finite and >= 0 (rejects nan/inf/-1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _handle_validate(args) -> int:

@@ -30,6 +30,17 @@ The model (standard in NoC literature at this abstraction):
 * arbitration between packets requesting the same free channel in the
   same cycle is deterministic: earliest injection first, then packet
   name.
+
+The replay is event-driven but exact: a packet joins an *active* list
+(kept in arbitration order) at its injection cycle and leaves it when
+its tail is delivered, each cycle advances only the active packets,
+and when none is in flight the clock jumps straight to the next
+injection — an idle cycle changes no state, fault windows included.
+Channel ownership, busy counts and fault ranges are lists indexed by a
+per-run link numbering (links in order of first appearance in the
+packets), so the hot loop never hashes a :class:`Link`.  The work done
+is proportional to the cycles with a worm in flight (reported as
+``steps``), not to the simulated time (``cycles``).
 """
 
 from __future__ import annotations
@@ -68,10 +79,16 @@ class PacketSpec:
     links: Optional[Tuple[Link, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.volume_bits <= 0:
-            raise WormholeError(f"packet {self.name!r}: volume must be positive")
-        if self.inject_time < 0:
-            raise WormholeError(f"packet {self.name!r}: negative inject time")
+        if not (math.isfinite(self.volume_bits) and self.volume_bits > 0):
+            raise WormholeError(
+                f"packet {self.name!r}: volume_bits must be positive and finite, "
+                f"got {self.volume_bits!r}"
+            )
+        if not (math.isfinite(self.inject_time) and self.inject_time >= 0):
+            raise WormholeError(
+                f"packet {self.name!r}: inject_time must be non-negative and finite, "
+                f"got {self.inject_time!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,10 +109,18 @@ class WormholeConfig:
     max_cycles: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if self.flit_size_bits <= 0:
-            raise WormholeError("flit size must be positive")
-        if self.buffer_flits < 1:
-            raise WormholeError("need at least one flit of buffering")
+        if not (math.isfinite(self.flit_size_bits) and self.flit_size_bits > 0):
+            raise WormholeError(
+                f"flit_size_bits must be positive and finite, got {self.flit_size_bits!r}"
+            )
+        if not (isinstance(self.buffer_flits, int) and self.buffer_flits >= 1):
+            raise WormholeError(
+                f"buffer_flits must be an integer >= 1, got {self.buffer_flits!r}"
+            )
+        if not (isinstance(self.max_cycles, int) and self.max_cycles >= 0):
+            raise WormholeError(
+                f"max_cycles must be an integer >= 0, got {self.max_cycles!r}"
+            )
 
 
 @dataclass
@@ -149,7 +174,7 @@ class _PacketState:
 
     __slots__ = (
         "spec",
-        "links",
+        "lids",
         "n_flits",
         "inject_cycle",
         "at_source",
@@ -158,22 +183,19 @@ class _PacketState:
         "delivered_cycle",
     )
 
-    def __init__(self, spec: PacketSpec, links: Tuple[Link, ...], n_flits: int, inject_cycle: int):
+    def __init__(self, spec: PacketSpec, lids: Tuple[int, ...], n_flits: int, inject_cycle: int):
         self.spec = spec
-        self.links = links
+        #: the route as per-run link ids, in path order.
+        self.lids = lids
         self.n_flits = n_flits
         self.inject_cycle = inject_cycle
         #: flits not yet put on the first link.
         self.at_source = n_flits
         #: flits sitting in the register buffer after link i.
-        self.buffered = [0] * len(links)
+        self.buffered = [0] * len(lids)
         #: flits that have fully crossed link i.
-        self.crossed = [0] * len(links)
+        self.crossed = [0] * len(lids)
         self.delivered_cycle: Optional[int] = None
-
-    @property
-    def done(self) -> bool:
-        return self.delivered_cycle is not None
 
 
 def simulate_wormhole(
@@ -212,6 +234,10 @@ def simulate_wormhole(
         if ranges:
             fault_cycles[link] = tuple(ranges)
 
+    # Number the links the packets use, once per run: the hot loop then
+    # indexes lists instead of hashing Links.  Not ACG.link_id, because
+    # recorded degraded or detour routes may use links it does not know.
+    numbering: Dict[Link, int] = {}
     states: List[_PacketState] = []
     for spec in packets:
         links = spec.links
@@ -221,37 +247,53 @@ def simulate_wormhole(
             raise WormholeError(f"packet {spec.name!r} is local; nothing to simulate")
         n_flits = max(1, math.ceil(spec.volume_bits / cfg.flit_size_bits))
         inject_cycle = math.ceil(spec.inject_time / cycle_time)
-        states.append(_PacketState(spec, links, n_flits, inject_cycle))
+        lids = tuple(numbering.setdefault(link, len(numbering)) for link in links)
+        states.append(_PacketState(spec, lids, n_flits, inject_cycle))
+    faults = [fault_cycles.get(link, ()) for link in numbering]
 
     # Deterministic global arbitration order: earlier injection wins,
     # then name.  Fixed for the whole run (FIFO-like fairness).
     states.sort(key=lambda s: (s.inject_cycle, s.spec.name))
 
-    owner: Dict[Link, Optional[_PacketState]] = {}
-    link_busy: Dict[Link, int] = {}
-    remaining = len(states)
-    cycle = 0
+    owner: List[Optional[_PacketState]] = [None] * len(numbering)
+    busy = [0] * len(numbering)
+    #: in-flight packets, in arbitration order; ``states[pending:]`` wait.
+    active: List[_PacketState] = []
+    pending = 0
+    cycle = steps = 0
 
     ins = obs.get()
     ins.metrics.counter("wormhole.packets").inc(len(states))
     with ins.tracer.span("wormhole.simulate", packets=len(states)) as span:
-        while remaining > 0:
+        while active or pending < len(states):
+            if not active:
+                # Idle network: nothing changes until the next injection.
+                cycle = states[pending].inject_cycle
             if cycle > cfg.max_cycles:
-                stuck = [s.spec.name for s in states if not s.done]
+                stuck = [s.spec.name for s in states if s.delivered_cycle is None]
                 raise WormholeError(
                     f"simulation exceeded {cfg.max_cycles} cycles; stuck packets: {stuck}"
                 )
-            for state in states:
-                if state.done or cycle < state.inject_cycle:
-                    continue
-                _advance(state, owner, link_busy, cfg, cycle, fault_cycles)
-                if state.done:
-                    remaining -= 1
+            while pending < len(states) and states[pending].inject_cycle <= cycle:
+                active.append(states[pending])
+                pending += 1
+            delivered = False
+            for state in active:
+                delivered |= _advance(state, owner, busy, cfg, cycle, faults)
+            if delivered:
+                active = [s for s in active if s.delivered_cycle is None]
             cycle += 1
+            steps += 1
         span.set_attribute("cycles", cycle)
+        span.set_attribute("steps", steps)
     ins.metrics.counter("wormhole.cycles").inc(cycle)
+    ins.metrics.counter("wormhole.steps").inc(steps)
 
-    report = WormholeReport(cycle_time=cycle_time, cycles_run=cycle, link_busy_cycles=link_busy)
+    report = WormholeReport(
+        cycle_time=cycle_time,
+        cycles_run=cycle,
+        link_busy_cycles={link: busy[lid] for link, lid in numbering.items()},
+    )
     for state in states:
         assert state.delivered_cycle is not None
         report.packets[state.spec.name] = PacketResult(
@@ -259,45 +301,45 @@ def simulate_wormhole(
             n_flits=state.n_flits,
             inject_cycle=state.inject_cycle,
             delivered_cycle=state.delivered_cycle,
-            hops=len(state.links),
+            hops=len(state.lids),
         )
     return report
 
 
 def _advance(
     state: _PacketState,
-    owner: Dict[Link, Optional[_PacketState]],
-    link_busy: Dict[Link, int],
+    owner: List[Optional[_PacketState]],
+    busy: List[int],
     cfg: WormholeConfig,
     cycle: int,
-    fault_cycles: Optional[Dict[Link, Tuple[Tuple[int, float], ...]]] = None,
-) -> None:
+    faults: List[Tuple[Tuple[int, float], ...]],
+) -> bool:
     """Move this packet's flits one link at most, downstream first.
 
     Iterating links from the last to the first guarantees a flit crosses
     at most one link per cycle, and processing downstream stages first
     frees buffer space for upstream flits within the same cycle — the
     standard synchronous-pipeline update order.  A link inside one of its
-    ``fault_cycles`` ranges transfers nothing this cycle: the flit stalls
+    ``faults`` ranges transfers nothing this cycle: the flit stalls
     where it is and channel ownership is neither acquired nor released.
+    Returns whether the tail flit was delivered this cycle.
     """
-    links = state.links
-    k = len(links)
+    lids = state.lids
+    k = len(lids)
     for i in range(k - 1, -1, -1):
         available = state.at_source if i == 0 else state.buffered[i - 1]
         if available == 0:
             continue
         if state.crossed[i] >= state.n_flits:
             continue
-        link = links[i]
-        if fault_cycles:
-            ranges = fault_cycles.get(link)
-            if ranges and any(first <= cycle < last for first, last in ranges):
-                continue  # link down this cycle: flit stalls in place
-        current = owner.get(link)
+        lid = lids[i]
+        ranges = faults[lid]
+        if ranges and any(first <= cycle < last for first, last in ranges):
+            continue  # link down this cycle: flit stalls in place
+        current = owner[lid]
         if current is None:
             # Wormhole acquisition: the head flit grabs the channel.
-            owner[link] = state
+            owner[lid] = state
         elif current is not state:
             continue  # channel held by another worm: blocked
         # Backpressure: the downstream register must have space (the
@@ -312,11 +354,14 @@ def _advance(
         if i < k - 1:
             state.buffered[i] += 1
         state.crossed[i] += 1
-        link_busy[link] = link_busy.get(link, 0) + 1
+        busy[lid] += 1
         if state.crossed[i] == state.n_flits:
-            owner[link] = None  # tail passed: release the channel
+            owner[lid] = None  # tail passed: release the channel
             if i == k - 1:
+                # The tail has crossed every upstream link already.
                 state.delivered_cycle = cycle + 1
+                return True
+    return False
 
 
 def packets_from_schedule(schedule: Schedule, min_start: float = 0.0) -> List[PacketSpec]:
@@ -369,7 +414,13 @@ def validate_transaction_abstraction(
     Raises:
         SchedulingError: a packet arrived later than the abstraction
             promised — the schedule is NOT conservative at flit level.
+        WormholeError: ``slack_hops_factor`` is negative or not finite
+            (a NaN or infinite allowance would pass every schedule).
     """
+    if not (math.isfinite(slack_hops_factor) and slack_hops_factor >= 0):
+        raise WormholeError(
+            f"slack_hops_factor must be non-negative and finite, got {slack_hops_factor!r}"
+        )
     cfg = config or WormholeConfig()
     packets = packets_from_schedule(schedule, min_start=min_start)
     if not packets:

@@ -132,6 +132,25 @@ class TestValidateCommand:
         assert main(["validate", str(path), *BENCH, "--slack-hops-factor", "0"]) == 1
         assert "validate: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-1"])
+    def test_validate_rejects_slack_factor_that_disables_the_check(
+        self, factor, tmp_path, capsys, monkeypatch
+    ):
+        # NaN/inf allowances passed every schedule; with the ledger on,
+        # NaN crashed its strict JSON writer.  Both paths must now stop
+        # at argument parsing with a one-line error naming the flag.
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
+        path = tmp_path / "sched.json"
+        assert main(["schedule", *BENCH, "--save", str(path)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(path), *BENCH, f"--slack-hops-factor={factor}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "validate: PASS" not in captured.out
+        assert "repro-noc validate: error: argument --slack-hops-factor" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_validate_wrong_benchmark_fails(self, tmp_path, capsys):
         path = tmp_path / "sched.json"
         assert main(["schedule", *BENCH, "--save", str(path)]) == 0

@@ -207,6 +207,68 @@ class TestConfig:
         with pytest.raises(WormholeError):
             simulate_wormhole(acg, [spec], WormholeConfig(max_cycles=10))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flit_size_bits", float("nan")),
+            ("flit_size_bits", float("inf")),
+            ("buffer_flits", 1.5),
+            ("max_cycles", -1),
+            ("max_cycles", 10.0),
+        ],
+    )
+    def test_rejects_malformed_field(self, field, value):
+        with pytest.raises(WormholeError, match=field):
+            WormholeConfig(**{field: value})
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("volume_bits", float("nan")),
+            ("volume_bits", float("inf")),
+            ("inject_time", float("nan")),
+            ("inject_time", float("inf")),
+        ],
+    )
+    def test_packet_rejects_non_finite(self, field, value):
+        fields = dict(name="bad", src_pe=0, dst_pe=1, volume_bits=64.0, inject_time=0.0)
+        fields[field] = value
+        with pytest.raises(WormholeError, match=rf"'bad'.*{field}"):
+            PacketSpec(**fields)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0])
+    def test_slack_hops_factor_must_be_finite_and_non_negative(self, factor):
+        # A NaN or infinite allowance would pass any schedule; a negative
+        # one would demand delivery before the transaction ends.
+        schedule = eas_base_schedule(av_encoder_ctg("akiyo"), mesh_2x2())
+        with pytest.raises(WormholeError, match="slack_hops_factor"):
+            validate_transaction_abstraction(schedule, slack_hops_factor=factor)
+
+
+class TestStepCount:
+    def test_steps_cover_exactly_the_cycles_in_flight(self):
+        """``wormhole.steps`` counts the union of the packets' flight ranges."""
+        from repro import obs
+        from repro.core.eas import eas_schedule
+        from repro.ctg.multimedia import av_integrated_ctg
+
+        schedule = eas_schedule(av_integrated_ctg("foreman"), mesh_3x3())
+        ins = obs.Instrumentation.enabled()
+        with obs.activate(ins):
+            report = validate_transaction_abstraction(schedule)
+        in_flight = set()
+        for result in report.packets.values():
+            in_flight.update(range(result.inject_cycle, result.delivered_cycle))
+        steps = ins.metrics.counter("wormhole.steps").value
+        assert steps == len(in_flight)
+        assert steps < report.cycles_run / 10
+        assert ins.metrics.counter("wormhole.cycles").value == report.cycles_run
+        (span,) = [s for s in ins.tracer.spans if s.name == "wormhole.simulate"]
+        assert span.attrs["steps"] == steps
+        assert span.attrs["cycles"] == report.cycles_run
+
 
 class TestPacketsFromScheduleEdgeCases:
     def _schedule_with_zero_byte_and_same_pe_edges(self):
