@@ -40,6 +40,14 @@ and ``tests/test_eval_cache.py`` for the randomized equivalence
 harness).  The naive recompute is the paper-literal reference scheduler
 in :mod:`repro.core.reference`, which the equivalence tests compare
 against.
+
+The scheduler also probes only the PEs the selection needs.  A task's
+selection energies are known without probing once it is ready, so its
+PEs are walked cheapest first, and the walk stops once Rule 4 is
+decided: two BD-feasible evaluations seen and the next PE strictly
+dearer than the second.  Tasks with fewer than two BD-feasible PEs are
+probed everywhere, so Rule 3 sees the exact minimum finish (DESIGN.md,
+"Energy-ordered probing").
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from repro.core.placement import Evaluation, commit, probe
 from repro.obs.decisions import Candidate, TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
 from repro.ctg.graph import CTG
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, UnroutableError
 from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
@@ -154,8 +162,12 @@ def select_candidate(
 ) -> Tuple[str, int, SelectionOutcome]:
     """Apply the paper's Step-2 selection rules to the current RTL.
 
-    ``evaluations`` maps every ready task to its F(i,k) evaluation per
-    usable PE.  Returns the chosen ``(task, PE)`` pair and why it won.
+    ``evaluations`` maps every ready task to its F(i,k) evaluations.  A
+    task with fewer than two BD-feasible PEs must have one per usable
+    PE; any other task needs only those on the PEs whose selection
+    energy is at most its second-cheapest BD-feasible one, which is
+    what :class:`LevelBasedScheduler` probes.  Returns the chosen
+    ``(task, PE)`` pair and why it won.
     """
     min_f: Dict[str, Evaluation] = {}
     for task_name, per_pe in evaluations.items():
@@ -232,6 +244,12 @@ def task_decision(
 class LevelBasedScheduler:
     """Step 2 of EAS: energy-aware list scheduling steered by budgets.
 
+    Each iteration walks every ready task's usable PEs in selection
+    energy order, through the evaluation cache or a probe, and stops as
+    soon as Rule 4 is decided for the task (see the module docstring).
+    When decisions are recorded, the committed task's skipped PEs are
+    probed too, so its decision lists every candidate.
+
     The three optional arguments exist for degraded-mode recovery
     (``repro.faults.recovery``), which re-runs Step 2 over the *surviving*
     tasks of a committed schedule: ``preplaced`` seeds already-final
@@ -266,8 +284,6 @@ class LevelBasedScheduler:
         #: clean F(i,k) evaluations carried across RTL iterations, with
         #: each one's probe footprint and granted windows.
         self._cache: Dict[Tuple[str, int], Tuple[Evaluation, FrozenSet[int], Windows]] = {}
-        #: per-task feasible PE indices (static: depends on types only).
-        self._feasible_pes: Dict[str, List[int]] = {}
         ins = obs.get()
         self._ins = ins
         self._eval_counter = ins.metrics.counter("eas.evaluations")
@@ -277,18 +293,39 @@ class LevelBasedScheduler:
 
     # -- F(i,k) evaluation --------------------------------------------------
 
-    def _pes_for(self, task_name: str) -> List[int]:
-        """Available PE indices whose type can run ``task_name``."""
-        pes = self._feasible_pes.get(task_name)
-        if pes is None:
-            task = self.ctg.task(task_name)
-            pes = [
-                pe.index
-                for pe in self.acg.pes
-                if self.acg.pe_available(pe.index) and task.cost_on(pe.type_name).feasible
-            ]
-            self._feasible_pes[task_name] = pes
-        return pes
+    def _energy_order(self, task_name: str) -> List[Tuple[float, int]]:
+        """``(selection energy, PE)`` of each usable PE, cheapest first.
+
+        A PE is usable when it is available and its type can run the
+        task.  The selection energy of :func:`~repro.core.placement.probe`
+        does not depend on timing: it is the compute energy plus each
+        input's ``volume * e(r)``, summed over the LCT in the order
+        Fig. 3 schedules it.  Once the task is ready its senders are
+        placed, so this reproduces the probe's float bit for bit without
+        probing.  A PE a fault partition cuts off from some sender gets
+        ``inf``: it stays in the walk, and its probe returns ``None``.
+        """
+        placements = self._placements
+        lct = sorted(
+            self.ctg.in_edges(task_name), key=lambda e: (placements[e.src].finish, e.src)
+        )
+        task = self.ctg.task(task_name)
+        route = self.acg.route
+        order = []
+        for pe in self.acg.pes:
+            cost = task.cost_on(pe.type_name)
+            if not (cost.feasible and self.acg.pe_available(pe.index)):
+                continue
+            try:
+                comm = sum(
+                    edge.volume * route(placements[edge.src].pe, pe.index).energy_per_bit
+                    for edge in lct
+                )
+            except UnroutableError:
+                comm = math.inf
+            order.append((cost.energy + comm, pe.index))
+        order.sort()
+        return order
 
     def _evaluate(self, task_name: str, pe_index: int) -> Optional[Evaluation]:
         """Compute ``F(i,k)`` and cache it; ``None`` when the PE is unusable.
@@ -375,6 +412,8 @@ class LevelBasedScheduler:
         decided: List[TaskDecision] = []
 
         cache = self._cache
+        #: ready task -> its usable PEs in selection-energy order.
+        orders: Dict[str, List[Tuple[float, int]]] = {}
         total_hits = 0
         total_invalidations = 0
 
@@ -391,8 +430,16 @@ class LevelBasedScheduler:
                 with ins.tracer.span("evaluate_rtl", ready=len(ready)) as rtl_span:
                     hits = fresh = 0
                     for task_name in ready:
+                        order = orders.get(task_name)
+                        if order is None:
+                            order = orders[task_name] = self._energy_order(task_name)
+                        bd_eps = self.budgets[task_name].budgeted_deadline + EPS
                         per_pe: Dict[int, Evaluation] = {}
-                        for pe_index in self._pes_for(task_name):
+                        feasible = 0
+                        e2 = math.inf
+                        for energy, pe_index in order:
+                            if energy > e2:
+                                break  # Rule 4 is decided (DESIGN.md)
                             entry = cache.get((task_name, pe_index))
                             if entry is None:
                                 evaluation = self._evaluate(task_name, pe_index)
@@ -403,6 +450,10 @@ class LevelBasedScheduler:
                                 evaluation = entry[0]
                                 hits += 1
                             per_pe[pe_index] = evaluation
+                            if evaluation.finish <= bd_eps:
+                                feasible += 1
+                                if feasible == 2:
+                                    e2 = evaluation.energy
                         evaluations[task_name] = per_pe
                     if hits:
                         self._hit_counter.inc(hits)
@@ -412,6 +463,21 @@ class LevelBasedScheduler:
 
                 chosen_task, chosen_pe, outcome = select_candidate(evaluations, self.budgets)
                 chosen_eval = evaluations[chosen_task][chosen_pe]
+                if record_decisions:
+                    # The decision lists every candidate: probe the PEs
+                    # the walk skipped.  Probes leave the tables as they
+                    # are, so the commit below is unaffected.
+                    per_pe = evaluations[chosen_task]
+                    for _energy, pe_index in orders[chosen_task]:
+                        if pe_index not in per_pe:
+                            entry = cache.get((chosen_task, pe_index))
+                            evaluation = (
+                                entry[0] if entry is not None
+                                else self._evaluate(chosen_task, pe_index)
+                            )
+                            if evaluation is not None:
+                                per_pe[pe_index] = evaluation
+                del orders[chosen_task]
                 # Every evaluation the selection saw is clean, so the
                 # commit replays the chosen one verbatim.
                 placement = commit(self._tables, self._placements, schedule, chosen_eval)

@@ -1,11 +1,11 @@
 """The paper-literal EAS reference scheduler (the equivalence oracle).
 
-Production EAS has three optimisations the paper does not: the Step-2
-evaluation cache (``core/eas.py``), the version-keyed path-table cache
-with its horizon fast path (``schedule/overlay.py``) and the incremental
-Step-3 repair engine (``core/increbuild.py``).  Each must be invisible
-in the output.  This module is EAS without them, built from three
-pieces:
+Production EAS has four optimisations the paper does not: the Step-2
+evaluation cache and energy-ordered probing (``core/eas.py``), the
+version-keyed path-table cache with its horizon fast path
+(``schedule/overlay.py``) and the incremental Step-3 repair engine
+(``core/increbuild.py``).  Each must be invisible in the output.  This
+module is EAS without them, built from three pieces:
 
 * :class:`LiteralTables` — tables whose Fig. 3 probes merge the busy
   lists of every link on the route from scratch, every time;
@@ -17,9 +17,11 @@ pieces:
 
 :func:`reference_eas_schedule` must return byte-identical schedules
 (placements, transactions, energy, decision provenance) to
-:func:`~repro.core.eas.eas_schedule`.  It reports the same
-``eas.evaluations``, ``comm.merge_intervals`` and ``repair.*`` counters
-and never touches ``comm.path_cache_*`` or ``comm.horizon_fast_path``.
+:func:`~repro.core.eas.eas_schedule`.  It reports the same counter
+names (``eas.evaluations``, ``comm.merge_intervals``, ``repair.*``),
+but its ``eas.evaluations`` counts every (ready task, PE) pair of every
+iteration, several times production's.  It never touches
+``eas.cache_*``, ``comm.path_cache_*`` or ``comm.horizon_fast_path``.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ worker processes and what ``repro-noc faults inject --plan`` reads back.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,14 +76,21 @@ class FaultPlan:
     transient_faults: Tuple[TransientFault, ...] = ()
 
     def __post_init__(self) -> None:
-        for fault in self.pe_faults:
-            if fault.time < 0:
-                raise SerializationError(f"plan {self.name!r}: negative PE fault time")
-        for fault in self.link_faults:
-            if fault.time < 0:
-                raise SerializationError(f"plan {self.name!r}: negative link fault time")
+        for group, fields in (
+            ("pe_faults", ("time",)),
+            ("link_faults", ("time",)),
+            ("transient_faults", ("start", "end")),
+        ):
+            for i, fault in enumerate(getattr(self, group)):
+                for field in fields:
+                    value = getattr(fault, field)
+                    if not (math.isfinite(value) and value >= 0):
+                        raise SerializationError(
+                            f"plan {self.name!r}: {group}[{i}].{field} must be finite "
+                            f"and >= 0, got {value!r}"
+                        )
         for fault in self.transient_faults:
-            if fault.start < 0 or fault.end <= fault.start:
+            if fault.end <= fault.start:
                 raise SerializationError(
                     f"plan {self.name!r}: transient window [{fault.start}, {fault.end}) is empty"
                 )

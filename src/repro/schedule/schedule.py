@@ -23,6 +23,18 @@ from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.table import EPS, ScheduleTable
 
 
+def _check_energy(what: str, energy: float, expected: float) -> None:
+    """Reject a recorded energy that is not finite or not the model's.
+
+    Every scheduler stores the model's float verbatim (the cost table's
+    energy, ``volume * e(r)`` for a transaction), so the check is exact.
+    """
+    if not math.isfinite(energy):
+        raise ScheduleValidationError(f"{what} energy {energy} is not finite")
+    if energy != expected:
+        raise ScheduleValidationError(f"{what} energy {energy} != model {expected}")
+
+
 class Schedule:
     """A complete (or in-progress) static schedule of a CTG on an ACG."""
 
@@ -258,6 +270,7 @@ class Schedule:
                 raise ScheduleValidationError(
                     f"task {name!r} duration {placement.duration} != cost table {cost.time}"
                 )
+            _check_energy(f"task {name!r}", placement.energy, cost.energy)
         for (src, dst), comm in self.comm_placements.items():
             route = self.acg.route(comm.src_pe, comm.dst_pe)
             if tuple(route.links) != tuple(comm.links):
@@ -269,6 +282,9 @@ class Schedule:
                 raise ScheduleValidationError(
                     f"transaction {src}->{dst} duration {comm.duration} != model {expected}"
                 )
+            _check_energy(
+                f"transaction {src}->{dst}", comm.energy, comm.volume * route.energy_per_bit
+            )
 
     # -- provenance ---------------------------------------------------------------
 

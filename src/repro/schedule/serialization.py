@@ -11,6 +11,7 @@ data to reconstruct every invariant check, given the same CTG/ACG pair
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict
 
 from repro.arch.acg import ACG
@@ -27,6 +28,22 @@ from repro.schedule.schedule import Schedule
 FORMAT_VERSION = 2
 
 _READABLE_VERSIONS = (1, 2)
+
+
+def _int(entry: Dict[str, Any], key: str, path: str) -> int:
+    """``entry[key]`` as a JSON integer (not a string, float or bool)."""
+    value = entry[key]
+    if type(value) is not int:
+        raise SerializationError(f"{path}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(entry: Dict[str, Any], key: str, path: str) -> float:
+    """``entry[key]`` as a finite JSON number (not a string or bool)."""
+    value = entry[key]
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise SerializationError(f"{path}.{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
@@ -95,19 +112,21 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
             )
         schedule = Schedule(ctg, acg, algorithm=data.get("algorithm", ""))
         schedule.runtime_seconds = float(data.get("runtime_seconds", 0.0))
-        for entry in data["tasks"]:
+        for i, entry in enumerate(data["tasks"]):
             if entry["task"] not in ctg:
                 raise SerializationError(f"schedule places unknown task {entry['task']!r}")
+            path = f"tasks[{i}]"
             schedule.place_task(
                 TaskPlacement(
                     task=entry["task"],
-                    pe=int(entry["pe"]),
-                    start=float(entry["start"]),
-                    finish=float(entry["finish"]),
-                    energy=float(entry["energy"]),
+                    pe=_int(entry, "pe", path),
+                    start=_finite(entry, "start", path),
+                    finish=_finite(entry, "finish", path),
+                    energy=_finite(entry, "energy", path),
                 )
             )
-        for entry in data["comms"]:
+        for i, entry in enumerate(data["comms"]):
+            path = f"comms[{i}]"
             links = tuple(
                 Link(tuple(src), tuple(dst)) for src, dst in entry["links"]
             )
@@ -115,13 +134,13 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
                 CommPlacement(
                     src_task=entry["src_task"],
                     dst_task=entry["dst_task"],
-                    volume=float(entry["volume"]),
-                    src_pe=int(entry["src_pe"]),
-                    dst_pe=int(entry["dst_pe"]),
-                    start=float(entry["start"]),
-                    finish=float(entry["finish"]),
+                    volume=_finite(entry, "volume", path),
+                    src_pe=_int(entry, "src_pe", path),
+                    dst_pe=_int(entry, "dst_pe", path),
+                    start=_finite(entry, "start", path),
+                    finish=_finite(entry, "finish", path),
                     links=links,
-                    energy=float(entry["energy"]),
+                    energy=_finite(entry, "energy", path),
                 )
             )
         schedule.provenance = [

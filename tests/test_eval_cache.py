@@ -13,14 +13,26 @@ performance rescues and Step-3 search-and-repair.
 
 from __future__ import annotations
 
+import json
+import math
+from dataclasses import replace
 from typing import List, Tuple
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from repro import obs
-from repro.arch.presets import hetero_mesh
+from repro.arch.presets import hetero_mesh, mesh_3x3, mesh_4x4
 from repro.core.eas import EASConfig, LevelBasedScheduler, eas_base_schedule, eas_schedule
 from repro.core.reference import LiteralTables, reference_eas_schedule, reference_level_schedule
 from repro.core.slack import compute_budgets
-from repro.ctg.generator import generate_category
+from repro.ctg.generator import GeneratorConfig, generate_category, generate_ctg
+from repro.ctg.graph import CTG
+from repro.faults.degraded import DegradedACG
+from repro.faults.plan import FaultPlan, LinkFault, generate_fault_plans
+from repro.faults.recovery import inject_and_recover
+from repro.schedule.serialization import schedule_to_dict
+from tests.conftest import make_task
 
 #: Platform type cycles covering 2–6 PE-type entries (2–4 distinct
 #: classes; 5/6-entry cycles repeat classes, shifting the type mix).
@@ -113,6 +125,14 @@ class TestCacheEffectiveness:
         assert cached_evals < naive_evals / 1.5
         assert cached_ins.metrics.counter("eas.cache_hits").value > 0
         assert cached_ins.metrics.counter("eas.cache_invalidations").value > 0
+        # A recorded run probes every PE of each committed task so its
+        # decision lists every candidate; a plain run probes far fewer.
+        plain_ins = obs.Instrumentation.disabled()
+        with obs.activate(plain_ins):
+            plain = eas_schedule(ctg, acg)
+        assert _schedule_json(plain) == _schedule_json(cached)
+        assert plain_ins.metrics.counter("eas.evaluations").value < naive_evals / 5
+        assert plain_ins.metrics.counter("eas.cache_hits").value > 0
 
     def test_fixed_delay_ablation_equivalent_too(self):
         # With contention off the footprint degenerates to the PE alone;
@@ -165,3 +185,257 @@ class TestPathCacheEquivalence:
         both_off = reference_level_schedule(ctg, acg, budgets)
         _assert_identical(both_off, both_on, "cache=on pathcache=on")
         _assert_identical(both_off, eval_cache_only, "cache=on pathcache=off")
+
+
+# -- energy-ordered probing -----------------------------------------------------
+#
+# Step 2 walks each ready task's PEs in (selection energy, PE) order and
+# stops once Rule 4 is decided.  The paper-literal reference probes every
+# (ready task, PE) pair, so it is the oracle for the walk.
+
+
+def _schedule_json(schedule) -> str:
+    """Schedule JSON without the wall-clock field and the provenance."""
+    document = schedule_to_dict(schedule)
+    document.pop("runtime_seconds")
+    document.pop("provenance", None)
+    return json.dumps(document, sort_keys=True)
+
+
+def _level_pair(ctg, acg, recorded: bool):
+    """``(production, reference)`` Step-2 schedules under one instrumentation."""
+    budgets = compute_budgets(ctg, acg)
+    make = obs.Instrumentation.enabled if recorded else obs.Instrumentation.disabled
+    ins = make()
+    with obs.activate(ins):
+        production = LevelBasedScheduler(ctg, acg, budgets).run()
+    ref_ins = make()
+    with obs.activate(ref_ins):
+        reference = reference_level_schedule(ctg, acg, budgets)
+    return production, reference, ins, ref_ins
+
+
+_energy_order = LevelBasedScheduler._energy_order
+
+
+def _exhaustive_order(self, task_name):
+    """An energy order that never stops the walk: every PE is probed."""
+    return [(-math.inf, pe) for _energy, pe in _energy_order(self, task_name)]
+
+
+class _EnergyChecked(LevelBasedScheduler):
+    """Asserts that every probe's energy is the one the walk sorted by."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.predicted = {}
+        self.unroutable_probes = 0
+        self.probes = 0
+        self.sequence = []
+
+    def _energy_order(self, task_name):
+        order = super()._energy_order(task_name)
+        for energy, pe in order:
+            self.predicted[(task_name, pe)] = energy
+        return order
+
+    def _evaluate(self, task_name, pe_index):
+        evaluation = super()._evaluate(task_name, pe_index)
+        predicted = self.predicted[(task_name, pe_index)]
+        self.probes += 1
+        self.sequence.append((task_name, pe_index))
+        if evaluation is None:
+            assert predicted == math.inf, (task_name, pe_index)
+            self.unroutable_probes += 1
+        else:
+            assert evaluation.energy == predicted, (task_name, pe_index)
+        return evaluation
+
+
+def _corner_cut_platform():
+    """mesh_3x3 with both channels of tile (0, 0) cut: PE 0 is alive but
+    no route leads into or out of it, so it is unroutable from every
+    sender placed elsewhere."""
+    plan = FaultPlan(
+        name="corner",
+        link_faults=(
+            LinkFault(src=(0, 0), dst=(0, 1), time=0.0),
+            LinkFault(src=(0, 0), dst=(1, 0), time=0.0),
+        ),
+    )
+    return DegradedACG(mesh_3x3(), plan)
+
+
+class TestEnergyOrderedProbing:
+    def test_corpus_byte_identical_to_reference_level_schedule(self):
+        probes = reference_probes = 0
+        for ctg, acg in _corpus():
+            production, reference, ins, ref_ins = _level_pair(ctg, acg, recorded=False)
+            assert _schedule_json(production) == _schedule_json(reference), ctg.name
+            probes += ins.metrics.counter("eas.evaluations").value
+            reference_probes += ref_ins.metrics.counter("eas.evaluations").value
+        # The walk must actually skip probes, or this proves nothing.
+        assert probes < reference_probes / 3
+
+    def test_corpus_recorded_runs_identical_with_every_candidate(self):
+        for ctg, acg in list(_corpus())[::4]:
+            production, reference, _, _ = _level_pair(ctg, acg, recorded=True)
+            assert _schedule_json(production) == _schedule_json(reference), ctg.name
+            assert production.provenance == reference.provenance, ctg.name
+            # Every decision lists the task's every usable PE.
+            for decision in production.provenance:
+                usable = [
+                    pe.index for pe in acg.pes
+                    if ctg.task(decision.task).cost_on(pe.type_name).feasible
+                ]
+                listed = sorted([decision.pe] + [c.pe for c in decision.candidates])
+                assert listed == usable, decision.task
+
+    def test_plain_and_recorded_runs_same_schedule(self):
+        cases = [
+            (generate_category(1, 0, n_tasks=120), mesh_4x4(shuffle_seed=100)),
+            (generate_category(1, 3, n_tasks=120), mesh_4x4(shuffle_seed=103)),
+            (generate_category(2, 0, n_tasks=60).with_scaled_deadlines(0.75),
+             mesh_4x4(shuffle_seed=100)),
+            (generate_category(2, 5, n_tasks=60), mesh_4x4(shuffle_seed=105)),
+        ]
+        for ctg, acg in cases:
+            plain_ins = obs.Instrumentation.disabled()
+            with obs.activate(plain_ins):
+                plain = eas_schedule(ctg, acg)
+            recorded_ins = obs.Instrumentation.enabled()
+            with obs.activate(recorded_ins):
+                recorded = eas_schedule(ctg, acg)
+            assert _schedule_json(plain) == _schedule_json(recorded), ctg.name
+            assert not plain.provenance and len(recorded.provenance) == ctg.n_tasks
+            # Recorded runs probe the committed task's skipped PEs too.
+            assert (
+                recorded_ins.metrics.counter("eas.evaluations").value
+                > plain_ins.metrics.counter("eas.evaluations").value
+            )
+
+    def test_probe_energy_equals_order_energy_bit_for_bit(self):
+        checked = 0
+        for ctg, acg in list(_corpus())[::3]:
+            scheduler = _EnergyChecked(ctg, acg, compute_budgets(ctg, acg))
+            scheduler.run()
+            checked += scheduler.probes
+        assert checked > 0
+
+    def test_unroutable_pes_are_probed_and_dropped(self):
+        acg = _corner_cut_platform()
+        ctg = generate_ctg(GeneratorConfig(n_tasks=30, seed=4, level_width=3.0))
+        budgets = compute_budgets(ctg, acg)
+        scheduler = _EnergyChecked(ctg, acg, budgets)
+        production = scheduler.run()
+        # Some walk reached the cut-off PE, and its probe came back None.
+        assert scheduler.unroutable_probes > 0
+        reference = reference_level_schedule(ctg, acg, budgets)
+        assert _schedule_json(production) == _schedule_json(reference)
+
+    def test_recovery_matches_exhaustive_walk(self, monkeypatch):
+        ctg = generate_ctg(GeneratorConfig(n_tasks=40, seed=11, level_width=4.0))
+        committed = eas_schedule(ctg, mesh_3x3())
+        horizon = committed.makespan()
+        pe_fault = generate_fault_plans(committed.acg, 1, seed=7, horizon=horizon, kinds=("pe",))[0]
+        cut = generate_fault_plans(committed.acg, 1, seed=8, horizon=horizon, kinds=("link",))[0]
+        plan = FaultPlan(
+            name="pe+link", seed=7, pe_faults=pe_fault.pe_faults, link_faults=cut.link_faults
+        )
+        walk_ins = obs.Instrumentation.disabled()
+        with obs.activate(walk_ins):
+            walked = inject_and_recover(committed, plan).recovery
+        monkeypatch.setattr(LevelBasedScheduler, "_energy_order", _exhaustive_order)
+        full_ins = obs.Instrumentation.disabled()
+        with obs.activate(full_ins):
+            exhaustive = inject_and_recover(committed, plan).recovery
+        assert _schedule_json(walked) == _schedule_json(exhaustive)
+        assert (
+            walk_ins.metrics.counter("eas.evaluations").value
+            < full_ins.metrics.counter("eas.evaluations").value
+        )
+
+
+def _tied_ctg(n_tasks, seed, n_types, laxity, pe_types):
+    """A CTG whose tasks share one or two cost tables and one volume."""
+    return generate_ctg(
+        GeneratorConfig(
+            n_tasks=n_tasks,
+            seed=seed,
+            n_task_types=n_types,
+            base_time_range=(100.0, 100.0),
+            power_range=(1.0, 1.0),
+            volume_range=(8_000.0, 8_000.0),
+            time_jitter=0.0,
+            affinity_probability=0.0,
+            deadline_laxity=laxity,
+            level_width=4.0,
+            pe_type_names=pe_types,
+        )
+    )
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n_tasks=st.integers(min_value=2, max_value=30),
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_types=st.integers(min_value=1, max_value=2),
+    laxity=st.sampled_from([0.6, 1.0, 1.6, 3.0]),
+    pe_types=st.sampled_from([("cpu",), ("cpu", "dsp"), ("arm", "risc")]),
+    mesh=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+)
+def test_energy_ties_match_reference(n_tasks, seed, n_types, laxity, pe_types, mesh):
+    # Same-type PEs at equal hop counts and equal volumes tie on energy:
+    # the strict `>` stop and the (energy, finish, pe) tie-break decide.
+    ctg = _tied_ctg(n_tasks, seed, n_types, laxity, pe_types)
+    acg = hetero_mesh(*mesh, type_cycle=pe_types, shuffle_seed=seed)
+    production, reference, _, _ = _level_pair(ctg, acg, recorded=False)
+    assert _schedule_json(production) == _schedule_json(reference)
+
+
+def test_tied_platform_really_ties():
+    ctg = _tied_ctg(20, 3, 1, 1.0, ("cpu", "dsp"))
+    acg = hetero_mesh(3, 3, type_cycle=("cpu", "dsp"), shuffle_seed=3)
+    scheduler = _EnergyChecked(ctg, acg, compute_budgets(ctg, acg))
+    scheduler.run()
+    energies = {}
+    for (task, _pe), energy in scheduler.predicted.items():
+        energies.setdefault(task, []).append(energy)
+    assert any(len(set(values)) < len(values) for values in energies.values())
+
+
+def test_walk_uses_select_candidates_eps_test():
+    # Two source tasks on a 2x2 mesh typed cpu/dsp/arm/risc (PEs 0..3).
+    # A's cpu finish is BD + EPS/2 (feasible), its dsp finish BD + 1.5 EPS
+    # (not); B outbids A on regret (30 > 20) and takes the cpu first.
+    # A walk whose feasibility test differed from select_candidate's by
+    # an EPS would see A with a single feasible PE (regret inf) and
+    # commit A first, or would probe A's risc PE needlessly.
+    ctg = CTG(name="eps")
+    ctg.add_task(make_task(
+        "a",
+        {"cpu": 100.0 + 0.5e-9, "dsp": 100.0 + 1.5e-9, "arm": 100.0, "risc": 50.0},
+        {"cpu": 10.0, "dsp": 20.0, "arm": 30.0, "risc": 40.0},
+    ))
+    ctg.add_task(make_task(
+        "b",
+        {"cpu": 100.0, "dsp": 100.0, "arm": 100.0, "risc": 100.0},
+        {"cpu": 10.0, "dsp": 40.0, "arm": 50.0, "risc": 60.0},
+    ))
+    acg = hetero_mesh(2, 2, type_cycle=("cpu", "dsp", "arm", "risc"))
+    budgets = compute_budgets(ctg, acg)
+    budgets = {
+        "a": replace(budgets["a"], budgeted_deadline=100.0),
+        "b": replace(budgets["b"], budgeted_deadline=1e6),
+    }
+    scheduler = _EnergyChecked(ctg, acg, budgets)
+    schedule = scheduler.run()
+    assert schedule.mapping() == {"a": 2, "b": 0}
+    # A: cpu, dsp, arm then stop (risc's 40 > 30); B: cpu, dsp then stop.
+    # After B's commit A re-probes the cpu and walks on to the risc.
+    assert scheduler.sequence == [
+        ("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1), ("a", 0), ("a", 3)
+    ]
+    assert _schedule_json(schedule) == _schedule_json(
+        reference_level_schedule(ctg, acg, budgets)
+    )

@@ -1,5 +1,7 @@
 """Tests for the fault-plan model and the seeded Monte Carlo generator."""
 
+import re
+
 import pytest
 
 from repro.arch.presets import mesh_3x3
@@ -49,6 +51,52 @@ class TestFaultPlanModel:
             FaultPlan(name="bad", pe_faults=(PEFault(pe=0, time=-1.0),))
         with pytest.raises(SerializationError):
             FaultPlan(name="bad", link_faults=(LinkFault((0, 0), (0, 1), -0.5),))
+
+    @pytest.mark.parametrize(
+        "plan_kwargs, field",
+        [
+            ({"pe_faults": (PEFault(pe=0, time=float("nan")),)}, "pe_faults[0].time"),
+            ({"pe_faults": (PEFault(pe=0, time=float("inf")),)}, "pe_faults[0].time"),
+            (
+                {"link_faults": (LinkFault((0, 0), (0, 1), 1.0), LinkFault((0, 1), (1, 1), float("nan")))},
+                "link_faults[1].time",
+            ),
+            (
+                {"transient_faults": (TransientFault((0, 0), (0, 1), float("nan"), 5.0),)},
+                "transient_faults[0].start",
+            ),
+            (
+                {"transient_faults": (TransientFault((0, 0), (0, 1), 1.0, float("nan")),)},
+                "transient_faults[0].end",
+            ),
+            (
+                {"transient_faults": (TransientFault((0, 0), (0, 1), 1.0, float("inf")),)},
+                "transient_faults[0].end",
+            ),
+            (
+                {"transient_faults": (TransientFault((0, 0), (0, 1), -2.0, 5.0),)},
+                "transient_faults[0].start",
+            ),
+        ],
+    )
+    def test_non_finite_times_rejected_naming_the_field(self, plan_kwargs, field):
+        with pytest.raises(SerializationError, match=re.escape(field)):
+            FaultPlan(name="bad", **plan_kwargs)
+
+    @pytest.mark.parametrize(
+        "group, entry, field",
+        [
+            ("pe_faults", {"pe": 1, "time": "NaN"}, "time"),
+            ("link_faults", {"src": [0, 0], "dst": [0, 1], "time": "nan"}, "time"),
+            ("transient_faults", {"src": [0, 0], "dst": [0, 1], "start": "nan", "end": "nan"}, "start"),
+        ],
+    )
+    def test_json_nan_times_rejected(self, group, entry, field):
+        document = FaultPlan(name="ok", pe_faults=(PEFault(pe=0, time=1.0),)).to_dict()
+        document["pe_faults"] = []
+        document[group] = [entry]
+        with pytest.raises(SerializationError, match=rf"{group}\[0\]\.{field}"):
+            FaultPlan.from_dict(document)
 
     def test_empty_transient_window_rejected(self):
         with pytest.raises(SerializationError):

@@ -1,11 +1,17 @@
 """Tests for schedule JSON serialisation."""
 
+import copy
+import json
+import math
+import re
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.presets import mesh_2x2, mesh_3x3
 from repro.core.eas import eas_schedule
-from repro.ctg.multimedia import av_encoder_ctg
-from repro.errors import SerializationError
+from repro.ctg.multimedia import av_encoder_ctg, av_integrated_ctg
+from repro.errors import ScheduleValidationError, SerializationError
 from repro.schedule.serialization import (
     schedule_from_dict,
     schedule_from_json,
@@ -86,3 +92,98 @@ class TestMismatchDetection:
                 ctg,
                 acg,
             )
+
+
+@pytest.fixture(scope="module")
+def integrated_document():
+    """``schedule --system integrated --save``'s document, as a dict."""
+    ctg = av_integrated_ctg("foreman")
+    acg = mesh_3x3()
+    return ctg, acg, json.loads(schedule_to_json(eas_schedule(ctg, acg)))
+
+
+def _tampered(document, section, index, key, value):
+    data = copy.deepcopy(document)
+    data[section][index][key] = value
+    return data
+
+
+class TestFieldTypes:
+    """Mistyped or non-finite values are rejected with the field's path."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("tasks", "pe", "1"),
+            ("tasks", "pe", True),
+            ("tasks", "pe", 1.0),
+            ("tasks", "start", float("nan")),
+            ("tasks", "finish", float("inf")),
+            ("tasks", "energy", float("nan")),
+            ("tasks", "energy", "12.5"),
+            ("comms", "src_pe", "0"),
+            ("comms", "dst_pe", False),
+            ("comms", "start", float("-inf")),
+            ("comms", "finish", float("nan")),
+            ("comms", "energy", float("inf")),
+            ("comms", "volume", float("nan")),
+        ],
+    )
+    def test_rejected_naming_the_path(self, integrated_document, section, key, value):
+        ctg, acg, document = integrated_document
+        data = _tampered(document, section, 2, key, value)
+        with pytest.raises(SerializationError, match=re.escape(f"{section}[2].{key}")):
+            schedule_from_dict(data, ctg, acg)
+
+    def test_nan_literal_in_json_text_rejected(self, integrated_document):
+        ctg, acg, document = integrated_document
+        text = json.dumps(_tampered(document, "tasks", 0, "energy", float("nan")))
+        assert "NaN" in text
+        with pytest.raises(SerializationError, match=re.escape("tasks[0].energy")):
+            schedule_from_json(text, ctg, acg)
+
+    def test_untampered_document_loads_and_validates(self, integrated_document):
+        ctg, acg, document = integrated_document
+        schedule_from_dict(copy.deepcopy(document), ctg, acg).validate_structure()
+
+
+class TestEnergyValidation:
+    """``validate_structure`` recomputes every energy from the models."""
+
+    def test_negative_task_energy_rejected(self, integrated_document):
+        ctg, acg, document = integrated_document
+        schedule = schedule_from_dict(_tampered(document, "tasks", 0, "energy", -1e6), ctg, acg)
+        with pytest.raises(ScheduleValidationError, match="energy -1000000.0 != model"):
+            schedule.validate_structure()
+
+    def test_nan_task_energy_rejected(self, integrated_document):
+        # The loader already refuses NaN; a schedule built in memory
+        # must still fail validation rather than total to nan.
+        ctg, acg, document = integrated_document
+        schedule = schedule_from_dict(copy.deepcopy(document), ctg, acg)
+        name = sorted(schedule.task_placements)[0]
+        schedule.task_placements[name] = replace(
+            schedule.task_placements[name], energy=float("nan")
+        )
+        assert math.isnan(schedule.total_energy())
+        with pytest.raises(ScheduleValidationError, match="not finite"):
+            schedule.validate_structure()
+
+    def test_zeroed_comm_energy_rejected(self, integrated_document):
+        ctg, acg, document = integrated_document
+        index = next(
+            i for i, comm in enumerate(document["comms"]) if comm["links"] and comm["volume"] > 0
+        )
+        schedule = schedule_from_dict(_tampered(document, "comms", index, "energy", 0), ctg, acg)
+        with pytest.raises(ScheduleValidationError, match="energy 0.0 != model"):
+            schedule.validate_structure()
+
+    def test_nan_comm_energy_rejected(self, integrated_document):
+        ctg, acg, document = integrated_document
+        schedule = schedule_from_dict(copy.deepcopy(document), ctg, acg)
+        key = sorted(schedule.comm_placements)[0]
+        schedule.comm_placements[key] = replace(
+            schedule.comm_placements[key], energy=float("nan")
+        )
+        with pytest.raises(ScheduleValidationError, match="not finite"):
+            schedule.validate_structure()
