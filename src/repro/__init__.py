@@ -19,91 +19,40 @@ Quickstart::
     print(eas.total_energy(), edf.total_energy())
 """
 
-from repro.arch import (
-    ACG,
-    BitEnergyModel,
-    HoneycombTopology,
-    Mesh2D,
-    Torus2D,
-    XYRouting,
-    YXRouting,
-    get_routing,
-    hetero_mesh,
-    mesh_2x2,
-    mesh_3x3,
-    mesh_4x4,
-)
-from repro.baselines import edf_schedule, greedy_energy_schedule, random_schedule
-from repro.core import (
-    EASConfig,
-    RepairConfig,
-    compute_budgets,
-    eas_base_schedule,
-    eas_schedule,
-    rebuild_schedule,
-    search_and_repair,
-)
-from repro.ctg import (
-    CLIP_NAMES,
-    CTG,
-    CommEdge,
-    GeneratorConfig,
-    Task,
-    TaskCosts,
-    av_decoder_ctg,
-    av_encoder_ctg,
-    av_integrated_ctg,
-    ctg_from_json,
-    ctg_to_json,
-    generate_category,
-    generate_ctg,
-)
-from repro import obs
-from repro.schedule import Schedule, render_gantt
-from repro.sim import SimulationReport, simulate_schedule
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ACG",
-    "BitEnergyModel",
-    "CLIP_NAMES",
-    "CTG",
-    "CommEdge",
-    "EASConfig",
-    "GeneratorConfig",
-    "HoneycombTopology",
-    "Mesh2D",
-    "RepairConfig",
-    "Schedule",
-    "SimulationReport",
-    "Task",
-    "TaskCosts",
-    "Torus2D",
-    "XYRouting",
-    "YXRouting",
-    "__version__",
-    "av_decoder_ctg",
-    "av_encoder_ctg",
-    "av_integrated_ctg",
-    "compute_budgets",
-    "ctg_from_json",
-    "ctg_to_json",
-    "eas_base_schedule",
-    "eas_schedule",
-    "edf_schedule",
-    "generate_category",
-    "generate_ctg",
-    "get_routing",
-    "greedy_energy_schedule",
-    "hetero_mesh",
-    "mesh_2x2",
-    "mesh_3x3",
-    "mesh_4x4",
-    "obs",
-    "random_schedule",
-    "rebuild_schedule",
-    "render_gantt",
-    "search_and_repair",
-    "simulate_schedule",
-]
+# Each name is imported from its defining module on first use, so
+# ``import repro`` (and every ``repro.<subpackage>`` import) stays cheap.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.arch.acg": ("ACG",),
+        "repro.arch.energy": ("BitEnergyModel",),
+        "repro.arch.presets": ("hetero_mesh", "mesh_2x2", "mesh_3x3", "mesh_4x4"),
+        "repro.arch.routing": ("XYRouting", "YXRouting", "get_routing"),
+        "repro.arch.topology": ("HoneycombTopology", "Mesh2D", "Torus2D"),
+        "repro.baselines.edf": ("edf_schedule",),
+        "repro.baselines.greedy": ("greedy_energy_schedule", "random_schedule"),
+        "repro.core.eas": ("EASConfig", "eas_base_schedule", "eas_schedule"),
+        "repro.core.rebuild": ("rebuild_schedule",),
+        "repro.core.repair": ("RepairConfig", "search_and_repair"),
+        "repro.core.slack": ("compute_budgets",),
+        "repro.ctg.generator": ("GeneratorConfig", "generate_category", "generate_ctg"),
+        "repro.ctg.graph": ("CTG",),
+        "repro.ctg.multimedia": (
+            "CLIP_NAMES",
+            "av_decoder_ctg",
+            "av_encoder_ctg",
+            "av_integrated_ctg",
+        ),
+        "repro.ctg.serialization": ("ctg_from_json", "ctg_to_json"),
+        "repro.ctg.task": ("CommEdge", "Task", "TaskCosts"),
+        "repro.schedule.gantt": ("render_gantt",),
+        "repro.schedule.schedule": ("Schedule",),
+        "repro.sim.replay": ("SimulationReport", "simulate_schedule"),
+    },
+    submodules=("obs",),
+)
+__all__.append("__version__")

@@ -5,43 +5,22 @@ route, the per-bit energy ``e(r_ij)`` (Eq. 2) and the bandwidth
 ``b(r_ij)``.
 """
 
-from repro.arch.pe import PE, PEType, STANDARD_PE_TYPES, pe_type
-from repro.arch.topology import HoneycombTopology, Link, Mesh2D, Topology, Torus2D
-from repro.arch.routing import (
-    ROUTING_ALGORITHMS,
-    RoutingAlgorithm,
-    XYRouting,
-    YXRouting,
-    get_routing,
-)
-from repro.arch.energy import BitEnergyModel
-from repro.arch.acg import ACG
-from repro.arch.presets import (
-    hetero_mesh,
-    mesh_2x2,
-    mesh_3x3,
-    mesh_4x4,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACG",
-    "BitEnergyModel",
-    "HoneycombTopology",
-    "Link",
-    "Mesh2D",
-    "PE",
-    "PEType",
-    "ROUTING_ALGORITHMS",
-    "RoutingAlgorithm",
-    "STANDARD_PE_TYPES",
-    "Topology",
-    "Torus2D",
-    "XYRouting",
-    "YXRouting",
-    "get_routing",
-    "hetero_mesh",
-    "mesh_2x2",
-    "mesh_3x3",
-    "mesh_4x4",
-    "pe_type",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.arch.acg": ("ACG",),
+        "repro.arch.energy": ("BitEnergyModel",),
+        "repro.arch.pe": ("PE", "PEType", "STANDARD_PE_TYPES", "pe_type"),
+        "repro.arch.presets": ("hetero_mesh", "mesh_2x2", "mesh_3x3", "mesh_4x4"),
+        "repro.arch.routing": (
+            "ROUTING_ALGORITHMS",
+            "RoutingAlgorithm",
+            "XYRouting",
+            "YXRouting",
+            "get_routing",
+        ),
+        "repro.arch.topology": ("HoneycombTopology", "Link", "Mesh2D", "Topology", "Torus2D"),
+    },
+)

@@ -6,14 +6,13 @@ ignores energy.  The greedy/random schedulers are additional reference
 points used by tests and ablations.
 """
 
-from repro.baselines.edf import edf_schedule
-from repro.baselines.greedy import greedy_energy_schedule, random_schedule
-from repro.baselines.optimal import OptimalResult, optimal_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OptimalResult",
-    "edf_schedule",
-    "greedy_energy_schedule",
-    "optimal_schedule",
-    "random_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.edf": ("edf_schedule",),
+        "repro.baselines.greedy": ("greedy_energy_schedule", "random_schedule"),
+        "repro.baselines.optimal": ("OptimalResult", "optimal_schedule"),
+    },
+)

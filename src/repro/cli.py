@@ -20,29 +20,27 @@ import math
 import sys
 import time
 from contextlib import nullcontext, redirect_stdout
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro import obs
-from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
-from repro.baselines.edf import edf_schedule
 from repro.core.eas import eas_base_schedule, eas_schedule
-from repro.ctg.generator import generate_category
-from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
-from repro.errors import LedgerError, SchedulingError
-from repro.evalx.experiments import (
-    run_fig7,
-    run_msb_table,
-    run_random_category,
+from repro.ctg.multimedia import CLIP_NAMES
+from repro.errors import (
+    LedgerError,
+    ScheduleValidationError,
+    SchedulingError,
+    SerializationError,
 )
-from repro.evalx.reporting import format_figure, format_table
-from repro.faults.plan import FAULT_KINDS
-from repro.obs.heartbeat import Heartbeat, resolve_interval
-from repro.obs.ledger import RunLedger, resolve_ledger_path
-from repro.parallel.pool import resolve_jobs
-from repro.schedule.gantt import render_gantt
+
+# Everything else is imported by the handler that runs it, so a command
+# loads only its own modules (DESIGN.md, "Import graph").
+if TYPE_CHECKING:
+    from repro.obs.ledger import RunLedger
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.obs.heartbeat import Heartbeat, resolve_interval
+
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -79,6 +77,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.perf_counter()
     with obs.activate(instrumentation):
         if ledger is not None:
+            from repro.parallel.pool import resolve_jobs
+
             ledger.run_started(
                 command=args.command,
                 argv=list(argv) if argv is not None else sys.argv[1:],
@@ -145,6 +145,8 @@ def _open_ledger(args) -> Optional[RunLedger]:
     An explicitly requested path (``--ledger FILE``) must be writable —
     a typo'd directory is a user error, not something to degrade around.
     """
+    from repro.obs.ledger import RunLedger, resolve_ledger_path
+
     override = getattr(args, "ledger", None)
     path = resolve_ledger_path(override)
     if path is None:
@@ -189,6 +191,8 @@ def _top_phases(instrumentation, limit: int = 10) -> List[Dict[str, Any]]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.faults.plan import FAULT_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro-noc",
         description="Reproduce Hu & Marculescu (DATE 2004): EAS for NoCs.",
@@ -532,6 +536,9 @@ def _add_observability_arguments(subparser) -> None:
 
 
 def _handle_random(args) -> int:
+    from repro.evalx.experiments import run_random_category
+    from repro.evalx.reporting import format_table
+
     rows = run_random_category(
         args.category,
         n_benchmarks=args.benchmarks,
@@ -550,6 +557,9 @@ def _handle_random(args) -> int:
 
 
 def _handle_msb(args) -> int:
+    from repro.evalx.experiments import run_msb_table
+    from repro.evalx.reporting import format_table
+
     rows = run_msb_table(args.system, jobs=args.jobs)
     print(
         format_table(
@@ -562,6 +572,9 @@ def _handle_msb(args) -> int:
 
 
 def _handle_fig7(args) -> int:
+    from repro.evalx.experiments import run_fig7
+    from repro.evalx.reporting import format_figure
+
     steps = max(2, args.steps)
     ratios = [
         1.0 + (args.max_ratio - 1.0) * i / (steps - 1) for i in range(steps)
@@ -584,6 +597,10 @@ def _add_benchmark_arguments(p) -> None:
 
 def _build_benchmark(args):
     """(ctg, acg) for the benchmark the shared selection flags name."""
+    from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
+    from repro.ctg.generator import generate_category
+    from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
+
     if args.system == "random":
         ctg = generate_category(args.category, args.index, n_tasks=args.n_tasks)
         acg = mesh_4x4(shuffle_seed=100 + args.index)
@@ -612,12 +629,12 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
         )
         schedule.algorithm = args.algorithm
         print(portfolio.describe(), file=sys.stderr)
+    elif args.algorithm == "edf":
+        from repro.baselines.edf import edf_schedule
+
+        schedule = edf_schedule(ctg, acg)
     else:
-        scheduler = {
-            "eas": eas_schedule,
-            "eas-base": eas_base_schedule,
-            "edf": edf_schedule,
-        }[args.algorithm]
+        scheduler = {"eas": eas_schedule, "eas-base": eas_base_schedule}[args.algorithm]
         schedule = scheduler(ctg, acg)
     if args.dvs:
         from repro.core.dvs import apply_dvs
@@ -632,6 +649,8 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
 
 
 def _handle_schedule(args) -> int:
+    from repro.schedule.gantt import render_gantt
+
     ctg, acg = _build_benchmark(args)
     schedule = _run_selected_scheduler(args, ctg, acg)
     print(schedule.summary())
@@ -659,7 +678,6 @@ def _handle_schedule(args) -> int:
 
 def _handle_inspect(args) -> int:
     import json as _json
-    from contextlib import nullcontext
 
     from repro.core.slack import compute_budgets
 
@@ -709,15 +727,10 @@ def _handle_inspect(args) -> int:
 
 
 def _handle_compare(args) -> int:
+    from repro.baselines.edf import edf_schedule
     from repro.evalx.analysis import compare_schedules, utilization_table
 
-    builder = {
-        "encoder": (av_encoder_ctg, mesh_2x2),
-        "decoder": (av_decoder_ctg, mesh_2x2),
-        "integrated": (av_integrated_ctg, mesh_3x3),
-    }[args.system]
-    ctg = builder[0](args.clip)
-    acg = builder[1]()
+    ctg, acg = _build_benchmark(args)
     eas = eas_schedule(ctg, acg)
     edf = edf_schedule(ctg, acg)
     print(compare_schedules(eas, edf).describe())
@@ -729,6 +742,8 @@ def _handle_compare(args) -> int:
 
 
 def _handle_optimal(args) -> int:
+    from repro.arch.presets import mesh_2x2
+    from repro.baselines.edf import edf_schedule
     from repro.baselines.optimal import optimal_schedule
     from repro.ctg.generator import GeneratorConfig, generate_ctg
 
@@ -755,6 +770,7 @@ def _handle_optimal(args) -> int:
 
 def _handle_report(args) -> int:
     from repro.obs.benchstore import DEFAULT_THRESHOLD
+    from repro.obs.ledger import resolve_ledger_path
     from repro.obs.report import build_report, format_report
 
     ledger_path = resolve_ledger_path(getattr(args, "ledger", None))
@@ -808,11 +824,9 @@ def _write_payload(args, payload: str, summary: str) -> int:
 
 def _schedule_with_provenance(args):
     """Run the selected scheduler with decision recording forced on."""
-    from contextlib import nullcontext as _nullcontext
-
     ctg, acg = _build_benchmark(args)
     instrumentation = obs.get()
-    context = _nullcontext(instrumentation)
+    context = nullcontext(instrumentation)
     if not instrumentation.recording:
         instrumentation = obs.Instrumentation.enabled()
         context = obs.activate(instrumentation)
@@ -829,7 +843,6 @@ def _handle_explain(args) -> int:
     )
 
     if args.load:
-        from repro.errors import SerializationError
         from repro.schedule.serialization import schedule_from_json
 
         ctg, acg = _build_benchmark(args)
@@ -882,7 +895,7 @@ def _resolve_diff_endpoint(token: str, args):
     """
     import os as _os
 
-    from repro.obs.ledger import group_runs, read_ledger
+    from repro.obs.ledger import group_runs, read_ledger, resolve_ledger_path
 
     if _os.path.exists(token):
         return ("file", token)
@@ -958,10 +971,9 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
 
 
 def _handle_diff(args) -> int:
-    from repro.errors import SerializationError
     from repro.evalx.experiments import schedules_for_specs
     from repro.obs.diff import diff_schedules, format_diff, run_delta
-    from repro.obs.ledger import read_ledger
+    from repro.obs.ledger import read_ledger, resolve_ledger_path
     from repro.schedule.serialization import schedule_from_json
 
     try:
@@ -1064,7 +1076,6 @@ def _nonnegative_finite(text: str) -> float:
 
 
 def _handle_validate(args) -> int:
-    from repro.errors import ScheduleValidationError, SerializationError
     from repro.schedule.serialization import schedule_from_json
     from repro.sim.wormhole import validate_transaction_abstraction
 
@@ -1120,7 +1131,6 @@ def _handle_faults_help(args) -> int:
 
 
 def _handle_faults_inject(args) -> int:
-    from repro.errors import SerializationError
     from repro.faults.plan import FaultPlan, generate_fault_plans
     from repro.faults.recovery import inject_and_recover
     from repro.schedule.serialization import schedule_to_json
@@ -1206,6 +1216,7 @@ def _handle_faults_sweep(args) -> int:
 
 
 def _handle_export_ctg(args) -> int:
+    from repro.ctg.generator import generate_category
     from repro.ctg.serialization import ctg_to_json
 
     ctg = generate_category(args.category, args.index, n_tasks=args.n_tasks)

@@ -9,49 +9,30 @@
 * :mod:`repro.core.repair` — Step 3, search-and-repair (LTS + GTM).
 """
 
-from repro.core.slack import (
-    TaskBudget,
-    WEIGHT_POLICIES,
-    compute_budgets,
-    weight_uniform,
-    weight_var_energy,
-    weight_var_product,
-)
-from repro.core.comm import schedule_incoming_transactions
-from repro.core.dvs import DVSConfig, DVSReport, apply_dvs
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule, LevelBasedScheduler
-from repro.core.periodic import (
-    ThroughputReport,
-    is_periodic_feasible,
-    resource_bound_period,
-    scan_min_period,
-    throughput_report,
-)
-from repro.core.rebuild import rebuild_schedule
-from repro.core.repair import RepairConfig, RepairReport, search_and_repair
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DVSConfig",
-    "DVSReport",
-    "EASConfig",
-    "apply_dvs",
-    "LevelBasedScheduler",
-    "RepairConfig",
-    "RepairReport",
-    "TaskBudget",
-    "ThroughputReport",
-    "WEIGHT_POLICIES",
-    "is_periodic_feasible",
-    "resource_bound_period",
-    "scan_min_period",
-    "throughput_report",
-    "compute_budgets",
-    "eas_base_schedule",
-    "eas_schedule",
-    "rebuild_schedule",
-    "schedule_incoming_transactions",
-    "search_and_repair",
-    "weight_uniform",
-    "weight_var_energy",
-    "weight_var_product",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.comm": ("schedule_incoming_transactions",),
+        "repro.core.dvs": ("DVSConfig", "DVSReport", "apply_dvs"),
+        "repro.core.eas": ("EASConfig", "LevelBasedScheduler", "eas_base_schedule", "eas_schedule"),
+        "repro.core.periodic": (
+            "ThroughputReport",
+            "is_periodic_feasible",
+            "resource_bound_period",
+            "scan_min_period",
+            "throughput_report",
+        ),
+        "repro.core.rebuild": ("rebuild_schedule",),
+        "repro.core.repair": ("RepairConfig", "RepairReport", "search_and_repair"),
+        "repro.core.slack": (
+            "TaskBudget",
+            "WEIGHT_POLICIES",
+            "compute_budgets",
+            "weight_uniform",
+            "weight_var_energy",
+            "weight_var_product",
+        ),
+    },
+)

@@ -1,36 +1,26 @@
 """Evaluation harness: one runner per paper table/figure plus reporting."""
 
-from repro.evalx.analysis import (
-    ScheduleComparison,
-    compare_schedules,
-    energy_by_task_type,
-    utilization_table,
-)
-from repro.evalx.experiments import (
-    ExperimentRow,
-    FigureSeries,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_msb_table,
-    run_random_category,
-    run_repair_runtime,
-)
-from repro.evalx.reporting import format_figure, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentRow",
-    "FigureSeries",
-    "ScheduleComparison",
-    "compare_schedules",
-    "energy_by_task_type",
-    "utilization_table",
-    "format_figure",
-    "format_table",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_msb_table",
-    "run_random_category",
-    "run_repair_runtime",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.evalx.analysis": (
+            "ScheduleComparison",
+            "compare_schedules",
+            "energy_by_task_type",
+            "utilization_table",
+        ),
+        "repro.evalx.experiments": (
+            "ExperimentRow",
+            "FigureSeries",
+            "run_fig5",
+            "run_fig6",
+            "run_fig7",
+            "run_msb_table",
+            "run_random_category",
+            "run_repair_runtime",
+        ),
+        "repro.evalx.reporting": ("format_figure", "format_table"),
+    },
+)

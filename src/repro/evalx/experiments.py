@@ -24,20 +24,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
 from repro.core.eas import eas_base_schedule
-from repro.core.repair import RepairReport, search_and_repair
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
-from repro.obs.utilization import analyze_schedule
 from repro.parallel.pool import parallel_map, resolve_jobs
-from repro.parallel.spec import BenchmarkSpec, RunResult, RunSpec, run_scheduler
 from repro.schedule.schedule import Schedule
+
+if TYPE_CHECKING:
+    from repro.core.repair import RepairReport
+    from repro.parallel.spec import RunResult, RunSpec
 
 #: Number of random benchmarks per category, as in the paper.
 N_RANDOM_BENCHMARKS = 10
@@ -101,6 +102,8 @@ def run_random_category(
     n_tasks = n_tasks if n_tasks is not None else default_n_tasks()
     wanted = tuple(schedulers) if schedulers else ("eas-base", "eas", "edf")
     if resolve_jobs(jobs) > 1:
+        from repro.parallel.spec import BenchmarkSpec, RunSpec
+
         specs = [
             RunSpec(
                 scheduler=name,
@@ -177,6 +180,8 @@ def run_msb_table(
         raise ValueError(f"unknown MSB system {system!r}; known: {sorted(_MSB_BUILDERS)}") from None
     wanted = tuple(schedulers)
     if resolve_jobs(jobs) > 1:
+        from repro.parallel.spec import BenchmarkSpec, RunSpec
+
         specs = [
             RunSpec(
                 scheduler=name,
@@ -219,6 +224,8 @@ def run_fig7(
     entry marks a point where a scheduler could not meet the deadlines
     even after repair.
     """
+    from repro.parallel.spec import run_scheduler
+
     series: Dict[str, List[float]] = {name: [] for name in schedulers}
     for ratio in ratios:
         ctg = av_integrated_ctg(
@@ -275,6 +282,8 @@ def run_repair_runtime(
     paper-literal reference (``repro.core.reference.reference_repair``)
     on identical inputs.
     """
+    from repro.core.repair import search_and_repair
+
     n_tasks = n_tasks if n_tasks is not None else default_n_tasks()
     rows: List[ExperimentRow] = []
     for index in range(n_benchmarks):
@@ -408,6 +417,9 @@ def _compare(
     schedulers: Tuple[str, ...],
     benchmark_name: Optional[str] = None,
 ) -> ExperimentRow:
+    from repro.obs.utilization import analyze_schedule
+    from repro.parallel.spec import run_scheduler
+
     registry = obs.get().metrics
     energies: Dict[str, float] = {}
     misses: Dict[str, int] = {}

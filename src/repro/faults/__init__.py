@@ -20,37 +20,26 @@ it is not.  It provides:
   output at any job count.
 """
 
-from repro.faults.degraded import DegradedACG, DegradedTopology, FaultAwareRouting
-from repro.faults.plan import (
-    FAULT_PLAN_SCHEMA_VERSION,
-    FaultPlan,
-    LinkFault,
-    PEFault,
-    TransientFault,
-    generate_fault_plans,
-)
-from repro.faults.recovery import (
-    RecoveryResult,
-    UnsurvivableFaultError,
-    inject_and_recover,
-    validate_recovery,
-)
-from repro.faults.sweep import FaultSweepReport, run_fault_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_PLAN_SCHEMA_VERSION",
-    "FaultPlan",
-    "PEFault",
-    "LinkFault",
-    "TransientFault",
-    "generate_fault_plans",
-    "DegradedTopology",
-    "FaultAwareRouting",
-    "DegradedACG",
-    "UnsurvivableFaultError",
-    "RecoveryResult",
-    "inject_and_recover",
-    "validate_recovery",
-    "FaultSweepReport",
-    "run_fault_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.degraded": ("DegradedACG", "DegradedTopology", "FaultAwareRouting"),
+        "repro.faults.plan": (
+            "FAULT_PLAN_SCHEMA_VERSION",
+            "FaultPlan",
+            "LinkFault",
+            "PEFault",
+            "TransientFault",
+            "generate_fault_plans",
+        ),
+        "repro.faults.recovery": (
+            "RecoveryResult",
+            "UnsurvivableFaultError",
+            "inject_and_recover",
+            "validate_recovery",
+        ),
+        "repro.faults.sweep": ("FaultSweepReport", "run_fault_sweep"),
+    },
+)

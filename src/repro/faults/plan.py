@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.acg import ACG
 from repro.arch.topology import Coord, Link
 from repro.errors import SerializationError
+from repro.jsonfields import json_finite, json_int
 from repro.rng import make_rng
 
 #: Version of the JSON fault-plan document.  Bump on any change to the
@@ -185,23 +186,28 @@ class FaultPlan:
                 name=str(data["name"]),
                 seed=data.get("seed"),
                 pe_faults=tuple(
-                    PEFault(pe=int(f["pe"]), time=float(f["time"]))
-                    for f in data.get("pe_faults", [])
+                    PEFault(
+                        pe=json_int(f, "pe", f"pe_faults[{i}]", minimum=0),
+                        time=json_finite(f, "time", f"pe_faults[{i}]"),
+                    )
+                    for i, f in enumerate(data.get("pe_faults", []))
                 ),
                 link_faults=tuple(
                     LinkFault(
-                        src=tuple(f["src"]), dst=tuple(f["dst"]), time=float(f["time"])
+                        src=tuple(f["src"]),
+                        dst=tuple(f["dst"]),
+                        time=json_finite(f, "time", f"link_faults[{i}]"),
                     )
-                    for f in data.get("link_faults", [])
+                    for i, f in enumerate(data.get("link_faults", []))
                 ),
                 transient_faults=tuple(
                     TransientFault(
                         src=tuple(f["src"]),
                         dst=tuple(f["dst"]),
-                        start=float(f["start"]),
-                        end=float(f["end"]),
+                        start=json_finite(f, "start", f"transient_faults[{i}]"),
+                        end=json_finite(f, "end", f"transient_faults[{i}]"),
                     )
-                    for f in data.get("transient_faults", [])
+                    for i, f in enumerate(data.get("transient_faults", []))
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:

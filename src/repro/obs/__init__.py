@@ -24,82 +24,36 @@ Typical use::
     print(obs.export.format_profile(ins))
 """
 
-from repro.obs import (
-    benchstore,
-    diff,
-    explain,
-    export,
-    heartbeat,
-    ledger,
-    report,
-    timeline,
-    utilization,
-)
-from repro.obs.benchstore import BenchRun, BenchStore, RegressionCheck
-from repro.obs.context import (
-    Instrumentation,
-    PhaseTiming,
-    activate,
-    get,
-    timed_phase,
-)
-from repro.obs.decisions import Candidate, DecisionLog, TaskDecision
-from repro.obs.diff import ScheduleDiff, diff_schedules, format_diff
-from repro.obs.explain import ExplainReport, critical_path, explain_schedule, format_explain
-from repro.obs.heartbeat import Heartbeat
-from repro.obs.ledger import RUN_LEDGER_SCHEMA_VERSION, RunLedger, prune_ledger, read_ledger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.report import build_report, format_report
-from repro.obs.timeline import chrome_trace, write_chrome_trace
-from repro.obs.tracer import NULL_TRACER, Event, NullTracer, Span, Tracer
-from repro.obs.utilization import UtilizationReport, analyze_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchRun",
-    "BenchStore",
-    "Candidate",
-    "Counter",
-    "DecisionLog",
-    "Event",
-    "ExplainReport",
-    "Gauge",
-    "Heartbeat",
-    "Histogram",
-    "Instrumentation",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "PhaseTiming",
-    "RUN_LEDGER_SCHEMA_VERSION",
-    "RegressionCheck",
-    "RunLedger",
-    "ScheduleDiff",
-    "Span",
-    "TaskDecision",
-    "Tracer",
-    "UtilizationReport",
-    "activate",
-    "analyze_schedule",
-    "benchstore",
-    "build_report",
-    "chrome_trace",
-    "critical_path",
-    "diff",
-    "diff_schedules",
-    "explain",
-    "explain_schedule",
-    "export",
-    "format_diff",
-    "format_explain",
-    "format_report",
-    "get",
-    "heartbeat",
-    "ledger",
-    "prune_ledger",
-    "read_ledger",
-    "report",
-    "timed_phase",
-    "timeline",
-    "utilization",
-    "write_chrome_trace",
-]
+# Nothing is imported until first use: a module that only calls
+# ``obs.get()`` loads the context module alone, and each name is cached
+# here after its first lookup (``obs.get`` is on the Step-2 hot path).
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.benchstore": ("BenchRun", "BenchStore", "RegressionCheck"),
+        "repro.obs.context": ("Instrumentation", "PhaseTiming", "activate", "get", "timed_phase"),
+        "repro.obs.decisions": ("Candidate", "DecisionLog", "TaskDecision"),
+        "repro.obs.diff": ("ScheduleDiff", "diff_schedules", "format_diff"),
+        "repro.obs.explain": ("ExplainReport", "critical_path", "explain_schedule", "format_explain"),
+        "repro.obs.heartbeat": ("Heartbeat",),
+        "repro.obs.ledger": ("RUN_LEDGER_SCHEMA_VERSION", "RunLedger", "prune_ledger", "read_ledger"),
+        "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "repro.obs.report": ("build_report", "format_report"),
+        "repro.obs.timeline": ("chrome_trace", "write_chrome_trace"),
+        "repro.obs.tracer": ("NULL_TRACER", "Event", "NullTracer", "Span", "Tracer"),
+        "repro.obs.utilization": ("UtilizationReport", "analyze_schedule"),
+    },
+    submodules=(
+        "benchstore",
+        "diff",
+        "explain",
+        "export",
+        "heartbeat",
+        "ledger",
+        "report",
+        "timeline",
+        "utilization",
+    ),
+)

@@ -26,7 +26,6 @@ percent-of-total column), counter totals, and decision statistics.
 
 from __future__ import annotations
 
-import gzip
 import json
 import math
 import sys
@@ -99,6 +98,8 @@ def write_trace(
     if path == "-":
         return _write_records(sys.stdout, instrumentation, meta)
     if path.endswith(".gz"):
+        import gzip
+
         with gzip.open(path, "wt") as handle:
             return _write_records(handle, instrumentation, meta)
     with open(path, "w") as handle:

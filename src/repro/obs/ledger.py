@@ -43,15 +43,13 @@ import atexit
 import io
 import json
 import os
-import socket
 import sys
-import traceback as traceback_module
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import LedgerError
-from repro.obs.benchstore import current_git_rev, exclusive_lock
+from repro.obs.fileio import current_git_rev, exclusive_lock
 
 #: bump when the record layout changes incompatibly.
 RUN_LEDGER_SCHEMA_VERSION = 1
@@ -159,6 +157,8 @@ class RunLedger:
         jobs: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Open the run: provenance header every later record hangs off."""
+        import socket
+
         self._started = True
         atexit.register(self._atexit_close)
         return self.record(
@@ -199,6 +199,8 @@ class RunLedger:
         error = ""
         trace = ""
         if exc is not None:
+            import traceback as traceback_module
+
             error = f"{type(exc).__name__}: {exc}"
             trace = "".join(
                 traceback_module.format_exception(type(exc), exc, exc.__traceback__)

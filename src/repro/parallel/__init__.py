@@ -19,27 +19,20 @@ Typical use::
     results = parallel_map(specs, jobs=8)   # spec order preserved
 """
 
-from repro.parallel.pool import JOBS_ENV_VAR, parallel_map, pool_map, resolve_jobs
-from repro.parallel.spec import (
-    ACG_PRESETS,
-    MSB_SYSTEMS,
-    BenchmarkSpec,
-    RunResult,
-    RunSpec,
-    execute_spec,
-    run_scheduler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACG_PRESETS",
-    "BenchmarkSpec",
-    "JOBS_ENV_VAR",
-    "MSB_SYSTEMS",
-    "RunResult",
-    "RunSpec",
-    "execute_spec",
-    "parallel_map",
-    "pool_map",
-    "resolve_jobs",
-    "run_scheduler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.pool": ("JOBS_ENV_VAR", "parallel_map", "pool_map", "resolve_jobs"),
+        "repro.parallel.spec": (
+            "ACG_PRESETS",
+            "MSB_SYSTEMS",
+            "BenchmarkSpec",
+            "RunResult",
+            "RunSpec",
+            "execute_spec",
+            "run_scheduler",
+        ),
+    },
+)

@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Any, Callable, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, TypeVar
 
 from repro import obs
 from repro.obs import heartbeat as heartbeat_module
-from repro.parallel.spec import RunResult, RunSpec, execute_spec
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
+    from repro.parallel.spec import RunResult, RunSpec
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -99,6 +101,13 @@ def pool_map(
                 finalize(result)
         return results
 
+    # The pool machinery (``concurrent.futures`` pulls in
+    # ``multiprocessing``) is loaded only when a pool is really started.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.parallel.spec import RunResult
+
     started = time.perf_counter()
     results: Optional[List[R]] = None
     with ins.tracer.span(label, jobs=workers, dispatched=len(items)):
@@ -143,6 +152,8 @@ def _notify_cell_done(monitor: Optional[Any], result: Any) -> None:
     """Report one finished cell (and its worker-measured wall) upstream."""
     if monitor is None:
         return
+    from repro.parallel.spec import RunResult
+
     wall = result.wall_seconds if isinstance(result, RunResult) else None
     monitor.cell_done(wall)
 
@@ -174,6 +185,8 @@ def parallel_map(specs: Sequence[RunSpec], jobs: Optional[int] = None) -> List[R
     serial run exactly, and last-writer-wins gauges see the same final
     writer a serial loop would.
     """
+    from repro.parallel.spec import execute_spec
+
     ins = obs.get()
     record = bool(ins.recording)
     ledger = ins.ledger

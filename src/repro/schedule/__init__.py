@@ -1,31 +1,21 @@
 """Schedule-table substrate and the Schedule result container."""
 
-from repro.schedule.table import ScheduleTable, merge_busy, find_gap
-from repro.schedule.overlay import ResourceTables
-from repro.schedule.entries import CommPlacement, TaskPlacement
-from repro.schedule.schedule import Schedule
-from repro.schedule.gantt import render_gantt
-from repro.schedule.serialization import (
-    schedule_from_dict,
-    schedule_from_json,
-    schedule_to_dict,
-    schedule_to_json,
-)
-from repro.schedule.svg import render_platform_svg, render_schedule_svg
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommPlacement",
-    "ResourceTables",
-    "Schedule",
-    "ScheduleTable",
-    "TaskPlacement",
-    "find_gap",
-    "merge_busy",
-    "render_gantt",
-    "render_platform_svg",
-    "render_schedule_svg",
-    "schedule_from_dict",
-    "schedule_from_json",
-    "schedule_to_dict",
-    "schedule_to_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.schedule.entries": ("CommPlacement", "TaskPlacement"),
+        "repro.schedule.gantt": ("render_gantt",),
+        "repro.schedule.overlay": ("ResourceTables",),
+        "repro.schedule.schedule": ("Schedule",),
+        "repro.schedule.serialization": (
+            "schedule_from_dict",
+            "schedule_from_json",
+            "schedule_to_dict",
+            "schedule_to_json",
+        ),
+        "repro.schedule.svg": ("render_platform_svg", "render_schedule_svg"),
+        "repro.schedule.table": ("ScheduleTable", "find_gap", "merge_busy"),
+    },
+)

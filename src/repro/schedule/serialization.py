@@ -11,13 +11,13 @@ data to reconstruct every invariant check, given the same CTG/ACG pair
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Dict
 
 from repro.arch.acg import ACG
 from repro.arch.topology import Link
 from repro.ctg.graph import CTG
 from repro.errors import SerializationError
+from repro.jsonfields import json_finite, json_int
 from repro.obs.decisions import TaskDecision
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.schedule import Schedule
@@ -30,20 +30,14 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
 
-def _int(entry: Dict[str, Any], key: str, path: str) -> int:
-    """``entry[key]`` as a JSON integer (not a string, float or bool)."""
-    value = entry[key]
-    if type(value) is not int:
-        raise SerializationError(f"{path}.{key} must be an integer, got {value!r}")
+def _pe(entry: Dict[str, Any], key: str, path: str, acg: ACG) -> int:
+    """``entry[key]`` as the index of one of ``acg``'s PEs."""
+    value = json_int(entry, key, path)
+    if not 0 <= value < acg.n_pes:
+        raise SerializationError(
+            f"{path}.{key} must be a PE index in [0, {acg.n_pes}), got {value!r}"
+        )
     return value
-
-
-def _finite(entry: Dict[str, Any], key: str, path: str) -> float:
-    """``entry[key]`` as a finite JSON number (not a string or bool)."""
-    value = entry[key]
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise SerializationError(f"{path}.{key} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
@@ -111,7 +105,8 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
                 f"schedule targets a {data['n_pes']}-PE platform, got {acg.n_pes}"
             )
         schedule = Schedule(ctg, acg, algorithm=data.get("algorithm", ""))
-        schedule.runtime_seconds = float(data.get("runtime_seconds", 0.0))
+        if "runtime_seconds" in data:
+            schedule.runtime_seconds = json_finite(data, "runtime_seconds", minimum=0.0)
         for i, entry in enumerate(data["tasks"]):
             if entry["task"] not in ctg:
                 raise SerializationError(f"schedule places unknown task {entry['task']!r}")
@@ -119,10 +114,10 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
             schedule.place_task(
                 TaskPlacement(
                     task=entry["task"],
-                    pe=_int(entry, "pe", path),
-                    start=_finite(entry, "start", path),
-                    finish=_finite(entry, "finish", path),
-                    energy=_finite(entry, "energy", path),
+                    pe=_pe(entry, "pe", path, acg),
+                    start=json_finite(entry, "start", path),
+                    finish=json_finite(entry, "finish", path),
+                    energy=json_finite(entry, "energy", path),
                 )
             )
         for i, entry in enumerate(data["comms"]):
@@ -134,13 +129,13 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
                 CommPlacement(
                     src_task=entry["src_task"],
                     dst_task=entry["dst_task"],
-                    volume=_finite(entry, "volume", path),
-                    src_pe=_int(entry, "src_pe", path),
-                    dst_pe=_int(entry, "dst_pe", path),
-                    start=_finite(entry, "start", path),
-                    finish=_finite(entry, "finish", path),
+                    volume=json_finite(entry, "volume", path),
+                    src_pe=_pe(entry, "src_pe", path, acg),
+                    dst_pe=_pe(entry, "dst_pe", path, acg),
+                    start=json_finite(entry, "start", path),
+                    finish=json_finite(entry, "finish", path),
                     links=links,
-                    energy=_finite(entry, "energy", path),
+                    energy=json_finite(entry, "energy", path),
                 )
             )
         schedule.provenance = [

@@ -1,22 +1,18 @@
 """NoC simulation: transaction-level replay and flit-level wormhole."""
 
-from repro.sim.replay import SimulationReport, simulate_schedule
-from repro.sim.wormhole import (
-    PacketSpec,
-    WormholeConfig,
-    WormholeReport,
-    packets_from_schedule,
-    simulate_wormhole,
-    validate_transaction_abstraction,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PacketSpec",
-    "SimulationReport",
-    "WormholeConfig",
-    "WormholeReport",
-    "packets_from_schedule",
-    "simulate_schedule",
-    "simulate_wormhole",
-    "validate_transaction_abstraction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.replay": ("SimulationReport", "simulate_schedule"),
+        "repro.sim.wormhole": (
+            "PacketSpec",
+            "WormholeConfig",
+            "WormholeReport",
+            "packets_from_schedule",
+            "simulate_wormhole",
+            "validate_transaction_abstraction",
+        ),
+    },
+)

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import os
+import sys
+
 import pytest
 
 from repro.cli import main
+from tests import import_hygiene
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _src_env(**extra):
+    return {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), **extra}
 
 
 class TestTopLevel:
@@ -38,6 +48,45 @@ class TestImportHygiene:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_denied_module(self):
+        """``import repro.cli`` loads what parsing and ``main`` need; the
+        pool machinery, the simulators, the fault recovery engine and the
+        report/diff/explain tooling wait for the handler that runs them."""
+        loaded = import_hygiene.modules_loaded_by("import repro.cli", env=_src_env())
+        assert import_hygiene.denied(loaded) == []
+
+    def test_cli_import_stays_within_its_module_budget(self):
+        loaded = import_hygiene.modules_loaded_by("import repro.cli", env=_src_env())
+        modules = import_hygiene.repro_modules(loaded)
+        assert len(modules) <= import_hygiene.MAX_REPRO_MODULES, modules
+
+    def test_validate_does_not_load_repair(self, tmp_path):
+        """Checking a saved schedule never schedules, so Step 3 stays unloaded."""
+        saved = tmp_path / "s.json"
+        assert main(["schedule", "--system", "encoder", "--save", str(saved)]) == 0
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main(['validate', '--system', 'encoder', {str(saved)!r}]) == 0\n"
+        )
+        env = _src_env(REPRO_LEDGER=str(tmp_path / "ledger.jsonl"))
+        loaded = import_hygiene.modules_loaded_by(code, env=env)
+        assert "repro.sim.wormhole" in loaded
+        assert "repro.core.repair" not in loaded
+
+    def test_deny_list_check_runs_without_pytest(self):
+        import subprocess
+
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tests", "import_hygiene.py")],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "0 problems" in proc.stdout
 
 
 class TestTables:

@@ -161,6 +161,37 @@ class TestSerialization:
         with pytest.raises(SerializationError):
             FaultPlan.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "group, entry, path",
+        [
+            # A bool is an int to Python; `int(True)` would load it as PE 1.
+            ("pe_faults", {"pe": True, "time": 1.0}, "pe_faults[0].pe"),
+            ("pe_faults", {"pe": "2", "time": 1.0}, "pe_faults[0].pe"),
+            ("pe_faults", {"pe": 1.0, "time": 1.0}, "pe_faults[0].pe"),
+            ("pe_faults", {"pe": -1, "time": 1.0}, "pe_faults[0].pe"),
+            ("pe_faults", {"pe": 1, "time": "1"}, "pe_faults[0].time"),
+            ("pe_faults", {"pe": 1, "time": False}, "pe_faults[0].time"),
+            ("link_faults", {"src": [0, 0], "dst": [0, 1], "time": "1"}, "link_faults[0].time"),
+            (
+                "transient_faults",
+                {"src": [0, 0], "dst": [0, 1], "start": 1.0, "end": "2"},
+                "transient_faults[0].end",
+            ),
+        ],
+    )
+    def test_mistyped_fields_rejected_naming_the_path(self, group, entry, path):
+        document = full_plan().to_dict()
+        document[group] = [entry]
+        with pytest.raises(SerializationError, match=re.escape(path)):
+            FaultPlan.from_dict(document)
+
+    def test_integral_times_load_as_floats(self):
+        document = full_plan().to_dict()
+        document["pe_faults"] = [{"pe": 2, "time": 3}]
+        plan = FaultPlan.from_dict(document)
+        assert plan.pe_faults == (PEFault(pe=2, time=3.0),)
+        assert type(plan.pe_faults[0].time) is float
+
 
 class TestGenerator:
     def test_same_seed_same_corpus(self):

@@ -146,6 +146,38 @@ class TestFieldTypes:
         ctg, acg, document = integrated_document
         schedule_from_dict(copy.deepcopy(document), ctg, acg).validate_structure()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("tasks", "pe", 99),
+            ("tasks", "pe", -1),
+            ("tasks", "pe", 9),  # mesh_3x3 has PEs 0..8
+            ("comms", "src_pe", 99),
+            ("comms", "dst_pe", -1),
+        ],
+    )
+    def test_out_of_range_pe_rejected_naming_the_path(
+        self, integrated_document, section, key, value
+    ):
+        ctg, acg, document = integrated_document
+        data = _tampered(document, section, 2, key, value)
+        with pytest.raises(SerializationError, match=re.escape(f"{section}[2].{key}")):
+            schedule_from_dict(data, ctg, acg)
+
+    @pytest.mark.parametrize("value", ["nan", "1.5", float("nan"), float("inf"), -1.0, True, None])
+    def test_bad_runtime_seconds_rejected(self, integrated_document, value):
+        ctg, acg, document = integrated_document
+        data = copy.deepcopy(document)
+        data["runtime_seconds"] = value
+        with pytest.raises(SerializationError, match="runtime_seconds"):
+            schedule_from_dict(data, ctg, acg)
+
+    def test_runtime_seconds_is_optional(self, integrated_document):
+        ctg, acg, document = integrated_document
+        data = copy.deepcopy(document)
+        del data["runtime_seconds"]
+        assert schedule_from_dict(data, ctg, acg).runtime_seconds == 0.0
+
 
 class TestEnergyValidation:
     """``validate_structure`` recomputes every energy from the models."""
